@@ -64,6 +64,7 @@ from .strategies import (
     FixedSchedule,
     Geometric,
     GreedyAdversary,
+    LiveFloorViolation,
     NonConstantSchedule,
     ScheduleStrategy,
     UniformRandom,

@@ -10,6 +10,7 @@ seed.  Exit codes: 0 success, 2 input error, 3 internal non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -281,9 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser every `main` call in this process shares, built on first
+    use: building it costs milliseconds, parsing with it is stateless."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except NonConvergence as e:

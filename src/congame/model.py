@@ -101,10 +101,20 @@ class GameGraph:
 
     Construct via :func:`validate_game` (raw mapping) or directly from
     canonical pieces; both enforce totality of the transition function.
+
+    Construction also builds the successor index the operators run on, in
+    the same pass that fills the transition table:
+
+    * per state and P1 action, the mask of its successor states and a tuple
+      of ``(successor bit, mask of the P2 actions leading there)`` pairs;
+    * per state, the mask of its predecessor states (states with some joint
+      action leading to it), which the solvers use to find what a changed
+      iterate can affect.
     """
 
     __slots__ = (
         "states", "_index", "_p1", "_p2", "_p1_index", "_p2_index", "_succ",
+        "_row_masks", "_row_pairs", "_pred",
     )
 
     def __init__(
@@ -142,30 +152,69 @@ class GameGraph:
         self._p2_index: list[dict[str, int]] = [
             {b: i for i, b in enumerate(acts)} for acts in self._p2]
 
-        seen: set[tuple[str, str, str]] = set()
+        # delta must be total over declared action sets; a lookup that
+        # fails sends the whole table through _check_delta first, so invalid
+        # entries are reported before missing ones
+        index = self._index
+        self._succ: list[list[list[int]]] = []
+        self._row_masks: list[tuple[int, ...]] = []
+        self._row_pairs: list[tuple[tuple[tuple[int, int], ...], ...]] = []
+        pred = [0] * len(self.states)
+        joint = 0
+        for vi, v in enumerate(self.states):
+            p2 = self._p2[vi]
+            rows: list[list[int]] = []
+            masks: list[int] = []
+            pairs: list[tuple[tuple[int, int], ...]] = []
+            succ_all = 0
+            for a in self._p1[vi]:
+                try:
+                    row = [index[delta[(v, a, b)]] for b in p2]
+                except (KeyError, TypeError):
+                    self._check_delta(delta)
+                    b = next(b for b in p2 if (v, a, b) not in delta)
+                    raise MissingTransition(v, a, b) from None
+                rows.append(row)
+                # P2 actions per successor bit, in first-reached order
+                by_succ: dict[int, int] = {}
+                m = 0
+                b_bit = 1
+                for wi in row:
+                    w_bit = 1 << wi
+                    m |= w_bit
+                    by_succ[w_bit] = by_succ.get(w_bit, 0) | b_bit
+                    b_bit <<= 1
+                masks.append(m)
+                pairs.append(tuple(by_succ.items()))
+                succ_all |= m
+            joint += len(rows) * len(p2)
+            self._succ.append(rows)
+            self._row_masks.append(tuple(masks))
+            self._row_pairs.append(tuple(pairs))
+            v_bit = 1 << vi
+            while succ_all:
+                low = succ_all & -succ_all
+                pred[low.bit_length() - 1] |= v_bit
+                succ_all ^= low
+        if len(delta) != joint:
+            # every declared joint action was found, so the extra entries
+            # name undeclared states or actions
+            self._check_delta(delta)
+        self._pred: tuple[int, ...] = tuple(pred)
+
+    def _check_delta(self, delta: Mapping[tuple[str, str, str], str]) -> None:
+        """Raise for the first entry naming an unknown state or action."""
+        index = self._index
         for (v, a, b), w in delta.items():
-            if v not in self._index:
+            if v not in index:
                 raise UnknownState(v)
-            vi = self._index[v]
+            vi = index[v]
             if a not in self._p1_index[vi]:
                 raise UnknownAction(v, a, player=1)
             if b not in self._p2_index[vi]:
                 raise UnknownAction(v, b, player=2)
-            if w not in self._index:
+            if w not in index:
                 raise UnknownState(w)
-            seen.add((v, a, b))
-        # delta must be total over declared action sets
-        self._succ: list[list[list[int]]] = []
-        for vi, v in enumerate(self.states):
-            rows: list[list[int]] = []
-            for a in self._p1[vi]:
-                row: list[int] = []
-                for b in self._p2[vi]:
-                    if (v, a, b) not in delta:
-                        raise MissingTransition(v, a, b)
-                    row.append(self._index[delta[(v, a, b)]])
-                rows.append(row)
-            self._succ.append(rows)
 
     # -- basic accessors -------------------------------------------------
 
@@ -211,12 +260,35 @@ class GameGraph:
         return m
 
     def unmask(self, m: int) -> frozenset[str]:
-        return frozenset(s for i, s in enumerate(self.states) if m >> i & 1)
+        states = self.states
+        m &= (1 << len(states)) - 1
+        out = []
+        while m:
+            low = m & -m
+            out.append(states[low.bit_length() - 1])
+            m ^= low
+        return frozenset(out)
 
     # -- internal index-level views used by the operators -----------------
 
-    def succ_index(self, vi: int, ai: int, bi: int) -> int:
-        return self._succ[vi][ai][bi]
+    def succ_masks(self, vi: int) -> tuple[int, ...]:
+        """Per P1 action at state `vi`, the mask of its successor states."""
+        return self._row_masks[vi]
+
+    def succ_pairs(self, vi: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per P1 action at state `vi`, ``(successor bit, P2 action mask)``
+        pairs: the P2 actions in the mask lead to that successor."""
+        return self._row_pairs[vi]
+
+    def pred_mask(self, m: int) -> int:
+        """States with some joint action leading into the state mask `m`."""
+        out = 0
+        pred = self._pred
+        while m:
+            low = m & -m
+            out |= pred[low.bit_length() - 1]
+            m ^= low
+        return out
 
     def p1_count(self, vi: int) -> int:
         return len(self._p1[vi])

@@ -8,37 +8,36 @@ that these implementations use directly.
 Public functions take and return name sets; the ``*_mask`` variants work on
 integer bitmasks over the game's sorted state/action indices and are what
 the fixpoint solvers call in their inner loops.
+
+The mask variants run on the successor index that :class:`GameGraph`
+builds once at construction: per state and P1 action, the mask of its
+successors (``g.succ_masks``) and ``(successor bit, P2 action mask)``
+pairs (``g.succ_pairs``).  "Every successor of action a lies in Y" is then
+one test ``succ_mask & ~Y == 0``, and the P2 actions that reach X or leave
+Y are an OR over the pairs, with no per-joint-action lookups.
+
+``a_set_mask``, ``b_set_mask`` and ``afpre_fix_mask`` evaluate one state.
+``pre1_mask``, ``apre1_mask`` and ``afpre1_mask`` evaluate the states of an
+optional candidate mask (every state by default) and return the mask of
+those that qualify.  A state's result depends only on the arguments
+restricted to its successors, which is what lets the solvers re-evaluate
+only the predecessors of states whose membership changed.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from typing import Optional
 
 from .model import GameGraph, NonConvergence, UnknownAction
 
 
-def _check_states(g: GameGraph, states: Iterable[str]) -> int:
-    return g.mask(states)
-
-
-def _check_gamma2(g: GameGraph, v: str, gamma2: Iterable[str]) -> int:
-    vi = g.index(v)
-    idx = {b: i for i, b in enumerate(g.p2_names(vi))}
+def _action_mask(names: tuple[str, ...], v: str, actions: Iterable[str], player: int) -> int:
+    idx = {a: i for i, a in enumerate(names)}
     m = 0
-    for b in gamma2:
-        if b not in idx:
-            raise UnknownAction(v, b, player=2)
-        m |= 1 << idx[b]
-    return m
-
-
-def _check_gamma1(g: GameGraph, v: str, gamma1: Iterable[str]) -> int:
-    vi = g.index(v)
-    idx = {a: i for i, a in enumerate(g.p1_names(vi))}
-    m = 0
-    for a in gamma1:
+    for a in actions:
         if a not in idx:
-            raise UnknownAction(v, a, player=1)
+            raise UnknownAction(v, a, player=player)
         m |= 1 << idx[a]
     return m
 
@@ -46,45 +45,59 @@ def _check_gamma1(g: GameGraph, v: str, gamma1: Iterable[str]) -> int:
 def a_set_mask(g: GameGraph, vi: int, y_mask: int, gamma2_mask: int) -> int:
     """P1 actions whose every successor outside Y is excused by gamma2."""
     out = 0
-    for ai in range(g.p1_count(vi)):
-        ok = True
-        for bi in range(g.p2_count(vi)):
-            if not (y_mask >> g.succ_index(vi, ai, bi) & 1) and not (gamma2_mask >> bi & 1):
-                ok = False
-                break
-        if ok:
-            out |= 1 << ai
+    outside = ~y_mask
+    pairs = g.succ_pairs(vi)
+    for ai, m in enumerate(g.succ_masks(vi)):
+        if m & outside:
+            if not gamma2_mask:
+                continue
+            leaving = 0
+            for bit, b_mask in pairs[ai]:
+                if bit & outside:
+                    leaving |= b_mask
+            if leaving & ~gamma2_mask:
+                continue
+        out |= 1 << ai
     return out
 
 
 def b_set_mask(g: GameGraph, vi: int, x_mask: int, gamma1_mask: int) -> int:
     """P2 actions against which some P1 action from gamma1 reaches X."""
     out = 0
-    for bi in range(g.p2_count(vi)):
-        for ai in range(g.p1_count(vi)):
-            if gamma1_mask >> ai & 1 and x_mask >> g.succ_index(vi, ai, bi) & 1:
-                out |= 1 << bi
-                break
+    pairs = g.succ_pairs(vi)
+    for ai, m in enumerate(g.succ_masks(vi)):
+        if gamma1_mask >> ai & 1 and m & x_mask:
+            for bit, b_mask in pairs[ai]:
+                if bit & x_mask:
+                    out |= b_mask
     return out
 
 
-def pre1_mask(g: GameGraph, x_mask: int) -> int:
+def pre1_mask(g: GameGraph, x_mask: int, cand: Optional[int] = None) -> int:
+    """States of `cand` (default: all) with a P1 action keeping the game
+    surely inside X."""
     out = 0
-    for vi in range(g.n_states):
-        if a_set_mask(g, vi, x_mask, 0):
-            out |= 1 << vi
+    todo = g.full_mask if cand is None else cand
+    while todo:
+        low = todo & -todo
+        if a_set_mask(g, low.bit_length() - 1, x_mask, 0):
+            out |= low
+        todo ^= low
     return out
 
 
-def apre1_mask(g: GameGraph, y_mask: int, x_mask: int) -> int:
-    """States where P1 can stay in Y surely while hitting X against every
-    opponent action with positive probability."""
+def apre1_mask(g: GameGraph, y_mask: int, x_mask: int, cand: Optional[int] = None) -> int:
+    """States of `cand` (default: all) where P1 can stay in Y surely while
+    hitting X against every opponent action with positive probability."""
     out = 0
-    for vi in range(g.n_states):
+    todo = g.full_mask if cand is None else cand
+    while todo:
+        low = todo & -todo
+        vi = low.bit_length() - 1
         stay = a_set_mask(g, vi, y_mask, 0)
-        full_b = (1 << g.p2_count(vi)) - 1
-        if b_set_mask(g, vi, x_mask, stay) == full_b:
-            out |= 1 << vi
+        if stay and b_set_mask(g, vi, x_mask, stay) == (1 << g.p2_count(vi)) - 1:
+            out |= low
+        todo ^= low
     return out
 
 
@@ -97,6 +110,8 @@ def afpre_fix_mask(g: GameGraph, vi: int, z_mask: int, y_mask: int, x_mask: int)
     stay_z = a_set_mask(g, vi, z_mask, 0)
     gamma = stay_z
     for _ in range(g.p1_count(vi) + 2):
+        if not gamma:
+            return 0
         nxt = stay_z & a_set_mask(g, vi, y_mask, b_set_mask(g, vi, x_mask, gamma))
         if nxt == gamma:
             return gamma
@@ -104,11 +119,17 @@ def afpre_fix_mask(g: GameGraph, vi: int, z_mask: int, y_mask: int, x_mask: int)
     raise NonConvergence("action fixpoint exceeded its bound")  # pragma: no cover
 
 
-def afpre1_mask(g: GameGraph, z_mask: int, y_mask: int, x_mask: int) -> int:
+def afpre1_mask(
+    g: GameGraph, z_mask: int, y_mask: int, x_mask: int, cand: Optional[int] = None,
+) -> int:
+    """States of `cand` (default: all) whose action fixpoint is nonempty."""
     out = 0
-    for vi in range(g.n_states):
-        if afpre_fix_mask(g, vi, z_mask, y_mask, x_mask):
-            out |= 1 << vi
+    todo = g.full_mask if cand is None else cand
+    while todo:
+        low = todo & -todo
+        if afpre_fix_mask(g, low.bit_length() - 1, z_mask, y_mask, x_mask):
+            out |= low
+        todo ^= low
     return out
 
 
@@ -116,36 +137,36 @@ def afpre1_mask(g: GameGraph, z_mask: int, y_mask: int, x_mask: int) -> int:
 
 def a_set(g: GameGraph, v: str, Y: Iterable[str], gamma2: Iterable[str]) -> frozenset[str]:
     vi = g.index(v)
-    m = a_set_mask(g, vi, _check_states(g, Y), _check_gamma2(g, v, gamma2))
-    return frozenset(a for i, a in enumerate(g.p1_names(vi)) if m >> i & 1)
+    names = g.p1_names(vi)
+    m = a_set_mask(g, vi, g.mask(Y), _action_mask(g.p2_names(vi), v, gamma2, 2))
+    return frozenset(a for i, a in enumerate(names) if m >> i & 1)
 
 
 def b_set(g: GameGraph, v: str, X: Iterable[str], gamma1: Iterable[str]) -> frozenset[str]:
     vi = g.index(v)
-    m = b_set_mask(g, vi, _check_states(g, X), _check_gamma1(g, v, gamma1))
-    return frozenset(b for i, b in enumerate(g.p2_names(vi)) if m >> i & 1)
+    names = g.p2_names(vi)
+    m = b_set_mask(g, vi, g.mask(X), _action_mask(g.p1_names(vi), v, gamma1, 1))
+    return frozenset(b for i, b in enumerate(names) if m >> i & 1)
 
 
 def pre1(g: GameGraph, X: Iterable[str]) -> frozenset[str]:
     """States with a P1 action keeping the game surely inside X."""
-    return g.unmask(pre1_mask(g, _check_states(g, X)))
+    return g.unmask(pre1_mask(g, g.mask(X)))
 
 
 def apre1(g: GameGraph, Y: Iterable[str], X: Iterable[str]) -> frozenset[str]:
-    return g.unmask(apre1_mask(g, _check_states(g, Y), _check_states(g, X)))
+    return g.unmask(apre1_mask(g, g.mask(Y), g.mask(X)))
 
 
 def afpre_action_fixpoint(
     g: GameGraph, v: str, Z: Iterable[str], Y: Iterable[str], X: Iterable[str],
 ) -> frozenset[str]:
     vi = g.index(v)
-    m = afpre_fix_mask(
-        g, vi, _check_states(g, Z), _check_states(g, Y), _check_states(g, X))
+    m = afpre_fix_mask(g, vi, g.mask(Z), g.mask(Y), g.mask(X))
     return frozenset(a for i, a in enumerate(g.p1_names(vi)) if m >> i & 1)
 
 
 def afpre1(g: GameGraph, Z: Iterable[str], Y: Iterable[str], X: Iterable[str]) -> frozenset[str]:
     """States whose action fixpoint is nonempty: P1 can stay in Z surely and,
     whenever leaving Y is possible, also hit X with positive probability."""
-    return g.unmask(
-        afpre1_mask(g, _check_states(g, Z), _check_states(g, Y), _check_states(g, X)))
+    return g.unmask(afpre1_mask(g, g.mask(Z), g.mask(Y), g.mask(X)))

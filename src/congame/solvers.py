@@ -12,6 +12,30 @@ chain is prepended with X0 = {}).
 
 Every loop is bounded by |V| + 1 effective rounds; exceeding the bound raises
 :class:`~congame.model.NonConvergence`, which the CLI maps to exit code 3.
+
+Worklist rounds
+---------------
+Every loop computes the same synchronous (Jacobi) iterates X0, X1, ... as
+the plain fixpoint X(k+1) = F(Xk) would, but each round re-evaluates only
+the states whose membership can change.  Two facts select them:
+
+* locality: the operators decide a state from their arguments restricted
+  to that state's successors, so a state none of whose successors changed
+  membership between X(k-1) and Xk gets the same answer from F(Xk) as from
+  F(X(k-1)), namely its membership in Xk;
+* monotonicity: ``pre1``, ``apre1`` and ``afpre1`` are monotone in every
+  argument, so along a decreasing chain a state once removed never comes
+  back, and along an increasing chain a state once added never leaves.
+
+Hence a decreasing loop (safety, the safety core, the cobuchi Y loop)
+re-checks only members of Xk that are predecessors of the states just
+removed, and an increasing loop (the buchi chain, the cobuchi terms that
+grow with the current rank) checks only non-members that are predecessors
+of the states just added.  Predecessors come from the game's predecessor
+index (``g.pred_mask``).  The iterates, the number of rounds and thus the
+rank chains are identical to the synchronous rounds; only the number of
+per-state evaluations falls, from |V| per round to the predecessors of
+what changed.
 """
 
 from __future__ import annotations
@@ -56,41 +80,40 @@ class RankDecomposition:
         }
 
 
-def _dedupe(chain: list[int]) -> list[int]:
-    out: list[int] = []
-    for m in chain:
-        if not out or m != out[-1]:
-            out.append(m)
-    return out
-
-
 def _decomposition(g: GameGraph, winning_mask: int, chain: list[int]) -> RankDecomposition:
-    return RankDecomposition(
-        winning=g.unmask(winning_mask),
-        ranks=tuple(g.unmask(m) for m in _dedupe(chain)),
-    )
+    """Package an increasing chain, dropping repeated elements.  Each rank
+    is the previous one plus the states it adds."""
+    ranks: list[frozenset[str]] = []
+    prev_mask, prev = 0, frozenset()
+    for m in chain:
+        if ranks and m == prev_mask:
+            continue
+        prev = prev | g.unmask(m & ~prev_mask)
+        ranks.append(prev)
+        prev_mask = m
+    return RankDecomposition(winning=g.unmask(winning_mask), ranks=tuple(ranks))
+
+
+def _shrink_to_pre1(g: GameGraph, bound: int, context: str) -> int:
+    """Greatest fixpoint of X -> bound & pre1(X), iterated from X = bound.
+
+    The first round checks every state of the bound; each later round only
+    the members that are predecessors of the states the last round removed.
+    """
+    x = cand = bound
+    for _ in range(g.n_states + 1):
+        nxt = x & ~(cand & ~pre1_mask(g, x, cand))
+        if nxt == x:
+            return x
+        cand = nxt & g.pred_mask(x & ~nxt)
+        x = nxt
+    raise NonConvergence(context)
 
 
 def solve_safety(g: GameGraph, target: Iterable[str]) -> RankDecomposition:
     """Largest subset of `target` that P1 can surely never leave."""
-    i_mask = g.mask(target)
-    x = i_mask
-    for _ in range(g.n_states + 1):
-        nxt = i_mask & pre1_mask(g, x)
-        if nxt == x:
-            return _decomposition(g, x, [x])
-        x = nxt
-    raise NonConvergence("safety fixpoint")
-
-
-def _safety_core_mask(g: GameGraph, i_mask: int, z_mask: int) -> int:
-    x = i_mask & z_mask
-    for _ in range(g.n_states + 1):
-        nxt = (i_mask & z_mask) & pre1_mask(g, x)
-        if nxt == x:
-            return x
-        x = nxt
-    raise NonConvergence("safety core fixpoint")
+    x = _shrink_to_pre1(g, g.mask(target), "safety fixpoint")
+    return _decomposition(g, x, [x])
 
 
 def solve_buchi(g: GameGraph, target: Iterable[str]) -> RankDecomposition:
@@ -99,15 +122,17 @@ def solve_buchi(g: GameGraph, target: Iterable[str]) -> RankDecomposition:
     not_i = g.full_mask & ~i_mask
     w = g.full_mask
     for _ in range(g.n_states + 1):
-        x1 = i_mask & pre1_mask(g, w)
+        x1 = pre1_mask(g, w, i_mask)
         chain = [x1]
-        x = x1
+        # apre1(w, {}) is empty, so the first round's candidates are the
+        # predecessors of all of x1
+        x, added = x1, x1
         for _ in range(g.n_states + 1):
-            nxt = (not_i & apre1_mask(g, w, x)) | x1
-            if nxt == x:
+            added = apre1_mask(g, w, x, not_i & ~x & g.pred_mask(added))
+            if not added:
                 break
-            chain.append(nxt)
-            x = nxt
+            x |= added
+            chain.append(x)
         else:
             raise NonConvergence("buchi rank chain")
         if x == w:
@@ -117,30 +142,47 @@ def solve_buchi(g: GameGraph, target: Iterable[str]) -> RankDecomposition:
 
 
 def solve_cobuchi(g: GameGraph, target: Iterable[str]) -> RankDecomposition:
-    """States from which P1 eventually stays inside `target` almost surely."""
+    """States from which P1 eventually stays inside `target` almost surely.
+
+    Per rank the next element is the greatest Y with
+    Y = cur | (I & Z & afpre1(Z, Y, cur)) | (~I & Z & apre1(Z, cur)).
+    The apre1 term and the afpre1 term at Y = Z do not depend on Y; both are
+    kept across ranks and grown as `cur` grows.  The Y loop then starts from
+    the afpre1 term at Y = Z and drops only members that are predecessors of
+    the states removed from Y.
+    """
     i_mask = g.mask(target)
     not_i = g.full_mask & ~i_mask
     z = g.full_mask
     for _ in range(g.n_states + 1):
-        x0 = _safety_core_mask(g, i_mask, z)
-        chain = [x0]
-        cur = x0
+        i_z, not_i_z = i_mask & z, not_i & z
+        cur = _shrink_to_pre1(g, i_z, "safety core fixpoint")
+        chain = [cur]
+        # apre1(z, {}) is empty; afpre1(z, z, {}) is not, so it starts full
+        ap = apre1_mask(g, z, cur, not_i_z & g.pred_mask(cur))
+        af_top = afpre1_mask(g, z, z, cur, i_z)
         for _ in range(g.n_states + 1):
-            # next rank: greatest fixpoint on Y starting from Z
+            base = cur | ap
+            af = af_top
             y = z
             for _ in range(g.n_states + 1):
-                ny = cur \
-                    | (i_mask & z & afpre1_mask(g, z, y, cur)) \
-                    | (not_i & z & apre1_mask(g, z, cur))
+                ny = base | af
                 if ny == y:
                     break
+                cand = af & ~base
+                if cand:
+                    cand &= g.pred_mask(y & ~ny)
+                    af &= ~(cand & ~afpre1_mask(g, z, ny, cur, cand))
                 y = ny
             else:
                 raise NonConvergence("cobuchi rank fixpoint")
             if y == cur:
                 break
             chain.append(y)
+            preds = g.pred_mask(y & ~cur)
             cur = y
+            ap |= apre1_mask(g, z, cur, not_i_z & ~ap & preds)
+            af_top |= afpre1_mask(g, z, z, cur, i_z & ~af_top & preds)
         else:
             raise NonConvergence("cobuchi rank chain")
         if cur == z:

@@ -48,6 +48,18 @@ class ConflictError(InputError):
         self.report = report
 
 
+class LiveFloorViolation(InputError):
+    """An extracted strategy leaves a live group below its floor at the
+    first visit (a live group of the template that no allowed action can
+    carry, outside the cells that the conflict check covers)."""
+
+    def __init__(self, state: str, group: frozenset[str], mass: float, need: float):
+        super().__init__(
+            f"live group {sorted(group)} at {state!r} gets mass {mass:.6g} "
+            f"at the first visit, below its floor {need:.6g}")
+        self.state, self.group = state, group
+
+
 class NonConstantSchedule(InputError):
     def __init__(self, state: str, action: str):
         super().__init__(
@@ -213,7 +225,9 @@ def extract_strategy(
         if groups and v in t.winning:
             d0 = out.distribution(v, 0)
             need = eps_live / max(len(t.groups_at(v)), 1)
-            assert all(d0.mass(h) >= need - 1e-12 for h in groups), v
+            for h in groups:
+                if d0.mass(h) < need - 1e-12:
+                    raise LiveFloorViolation(v, h, d0.mass(h), need)
     return out
 
 
@@ -311,44 +325,99 @@ def _supports(g: GameGraph, dists: Mapping[str, ActionDistribution]) -> dict[str
 
 
 def _can_reach(states: Iterable[str], edges: Mapping[str, frozenset[str]], bad: frozenset[str]) -> frozenset[str]:
+    """`bad` plus the states of `states` with a path into it, found by a
+    backward search over the predecessor lists."""
+    preds: dict[str, list[str]] = {}
+    for v in states:
+        for w in edges[v]:
+            preds.setdefault(w, []).append(v)
     reach = set(bad)
-    changed = True
-    while changed:
-        changed = False
-        for v in states:
-            if v not in reach and edges[v] & reach:
+    stack = list(bad)
+    while stack:
+        for v in preds.get(stack.pop(), ()):
+            if v not in reach:
                 reach.add(v)
-                changed = True
+                stack.append(v)
     return frozenset(reach)
 
 
 def _sccs(nodes: frozenset[str], edges: Mapping[str, frozenset[str]]) -> list[frozenset[str]]:
-    """Strongly connected components by forward/backward reachability."""
+    """Strongly connected components of the graph restricted to `nodes`, by
+    iterative Tarjan (linear in nodes plus edges)."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
     out: list[frozenset[str]] = []
-    remaining = set(nodes)
-    for v in sorted(nodes):
-        if v not in remaining:
+    for root in sorted(nodes):
+        if root in index:
             continue
-        fwd = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in edges[u]:
-                if w in remaining and w not in fwd:
-                    fwd.add(w)
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(edges[root]))]
+        while work:
+            v, succs = work[-1]
+            for w in succs:
+                if w not in nodes:
+                    continue
+                if w not in index:
+                    index[w] = low[w] = len(index)
                     stack.append(w)
-        bwd = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in remaining:
-                if w not in bwd and u in edges[w]:
-                    bwd.add(w)
-                    stack.append(w)
-        comp = frozenset(fwd & bwd)
-        out.append(comp)
-        remaining -= comp
+                    on_stack.add(w)
+                    work.append((w, iter(edges[w])))
+                    break
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(frozenset(comp))
     return out
+
+
+def _trim(nodes: frozenset[str], supports: Mapping[str, list[frozenset[str]]]) -> frozenset[str]:
+    """Largest subset of `nodes` in which every state keeps some opponent
+    action whose support stays inside the subset.
+
+    Each state counts its supports inside `nodes`; removing a state drops
+    the supports that contain it, so a backward worklist over the support
+    members finds every state whose count reaches zero.
+    """
+    count: dict[str, int] = {}
+    holders: dict[str, list[tuple[str, int]]] = {}
+    for v in nodes:
+        n = 0
+        for k, supp in enumerate(supports[v]):
+            if supp <= nodes:
+                n += 1
+                for u in supp:
+                    holders.setdefault(u, []).append((v, k))
+        count[v] = n
+    keep = set(nodes)
+    dropped: set[tuple[str, int]] = set()
+    stack = [v for v in nodes if not count[v]]
+    while stack:
+        u = stack.pop()
+        keep.discard(u)
+        for held in holders.get(u, ()):
+            if held not in dropped:
+                dropped.add(held)
+                v = held[0]
+                count[v] -= 1
+                if not count[v]:
+                    stack.append(v)
+    return frozenset(keep)
 
 
 def _max_end_components(
@@ -357,20 +426,18 @@ def _max_end_components(
     """Maximal end components of the induced one-player chain.
 
     An end component is a set closed under some nonempty choice of opponent
-    actions and strongly connected through them.
+    actions and strongly connected through them.  Each candidate set is
+    trimmed to the states that can stay inside it, then split into its
+    strongly connected components until every part is one component.
     """
     out: list[frozenset[str]] = []
     work = [nodes]
     while work:
-        t = work.pop()
-        allowed = {v: [supp for supp in supports[v] if supp <= t] for v in t}
-        dead = frozenset(v for v in t if not allowed[v])
-        if dead:
-            rest = t - dead
-            if rest:
-                work.append(rest)
+        t = _trim(work.pop(), supports)
+        if not t:
             continue
-        edges = {v: frozenset().union(*allowed[v]) for v in t}
+        edges = {v: frozenset().union(*(supp for supp in supports[v] if supp <= t))
+                 for v in t}
         comps = _sccs(t, edges)
         if len(comps) == 1:
             out.append(t)

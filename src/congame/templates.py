@@ -40,7 +40,7 @@ from .model import (
     UnknownAction,
     UnknownState,
 )
-from .operators import a_set
+from .operators import a_set_mask
 from .solvers import RankDecomposition, solve_buchi, solve_cobuchi, solve_safety
 
 
@@ -140,10 +140,15 @@ def min_prob(d: ActionDistribution, groups: Iterable[Iterable[str]]) -> float:
     return best
 
 
-def _unsafe_map(g: GameGraph, winning: frozenset[str]) -> dict[str, frozenset[str]]:
+def _leaving_actions(g: GameGraph, states: frozenset[str]) -> dict[str, frozenset[str]]:
+    """Per state of `states`, the P1 actions that can leave `states` (states
+    with none are omitted)."""
+    inside = g.mask(states)
     out: dict[str, frozenset[str]] = {}
-    for v in sorted(winning):
-        s = frozenset(g.p1_actions(v)) - a_set(g, v, winning, ())
+    for v in sorted(states):
+        vi = g.index(v)
+        stay = a_set_mask(g, vi, inside, 0)
+        s = frozenset(a for i, a in enumerate(g.p1_names(vi)) if not stay >> i & 1)
         if s:
             out[v] = s
     return out
@@ -164,7 +169,7 @@ def safety_template(
 ) -> Template:
     """Unsafe-action template for staying inside a safety winning region."""
     w = winning.winning if isinstance(winning, RankDecomposition) else frozenset(winning)
-    unsafe = _unsafe_map(g, w)
+    unsafe = _leaving_actions(g, w)
     live: dict[str, tuple[frozenset[str], ...]] = {}
     _trivial_fill(g, live, unsafe)
     return Template(
@@ -198,7 +203,7 @@ def buchi_template(g: GameGraph, target: Iterable[str]) -> Template:
     actions.
     """
     decomp = solve_buchi(g, target)
-    unsafe = _unsafe_map(g, decomp.winning)
+    unsafe = _leaving_actions(g, decomp.winning)
     live: dict[str, tuple[frozenset[str], ...]] = {}
     partition: list[frozenset[str]] = []
     ranks = decomp.ranks
@@ -223,13 +228,12 @@ def cobuchi_template(g: GameGraph, target: Iterable[str]) -> Template:
     including at target states.
     """
     decomp = solve_cobuchi(g, target)
-    unsafe = _unsafe_map(g, decomp.winning)
+    unsafe = _leaving_actions(g, decomp.winning)
     ranks = decomp.ranks
     core = ranks[0]
     colive: dict[str, frozenset[str]] = {}
-    for v in sorted(core):
-        s = unsafe.get(v, frozenset())
-        c = frozenset(g.p1_actions(v)) - a_set(g, v, core, ()) - s
+    for v, leaving in _leaving_actions(g, core).items():
+        c = leaving - unsafe.get(v, frozenset())
         if c:
             colive[v] = c
     live: dict[str, tuple[frozenset[str], ...]] = {}

@@ -67,39 +67,53 @@ def oracle_afpre1(g: GameGraph, Z: frozenset, Y: frozenset, X: frozenset) -> fro
     return frozenset(out)
 
 
-def oracle_solve_safety(g: GameGraph, target) -> frozenset:
+def _dedupe(chain: list) -> tuple:
+    out: list = []
+    for x in chain:
+        if not out or x != out[-1]:
+            out.append(x)
+    return tuple(out)
+
+
+def oracle_solve_safety(g: GameGraph, target) -> tuple[frozenset, tuple]:
+    """Winning region and its one-element chain."""
     i = frozenset(target)
     x = i
     while True:
         nxt = i & oracle_pre1(g, x)
         if nxt == x:
-            return x
+            return x, (x,)
         x = nxt
 
 
-def oracle_solve_buchi(g: GameGraph, target) -> frozenset:
+def oracle_solve_buchi(g: GameGraph, target) -> tuple[frozenset, tuple]:
+    """Winning region and the final round's chain, led by the empty set."""
     i = frozenset(target)
     all_states = frozenset(g.states)
     w = all_states
     while True:
         x1 = i & oracle_pre1(g, w)
+        chain = [frozenset(), x1]
         x = x1
         while True:
             nxt = ((all_states - i) & oracle_apre1(g, w, x)) | x1
             if nxt == x:
                 break
+            chain.append(nxt)
             x = nxt
         if x == w:
-            return w
+            return w, _dedupe(chain)
         w = x
 
 
-def oracle_solve_cobuchi(g: GameGraph, target) -> frozenset:
+def oracle_solve_cobuchi(g: GameGraph, target) -> tuple[frozenset, tuple]:
+    """Winning region and the final round's chain, led by the safety core."""
     i = frozenset(target)
     all_states = frozenset(g.states)
     z = all_states
     while True:
         x = oracle_solve_safety_within(g, i, z)
+        chain = [x]
         while True:
             y = z
             while True:
@@ -111,9 +125,10 @@ def oracle_solve_cobuchi(g: GameGraph, target) -> frozenset:
                 y = ny
             if y == x:
                 break
+            chain.append(y)
             x = y
         if x == z:
-            return z
+            return z, _dedupe(chain)
         z = x
 
 
@@ -124,3 +139,22 @@ def oracle_solve_safety_within(g: GameGraph, i: frozenset, z: frozenset) -> froz
         if nxt == x:
             return x
         x = nxt
+
+
+def oracle_sccs(nodes: frozenset, edges) -> set:
+    """Strongly connected components of the graph restricted to `nodes`, as
+    the classes of mutual reachability."""
+    reach = {}
+    for v in nodes:
+        seen = {v}
+        changed = True
+        while changed:
+            changed = False
+            for u in list(seen):
+                for w in edges[u]:
+                    if w in nodes and w not in seen:
+                        seen.add(w)
+                        changed = True
+        reach[v] = seen
+    return {frozenset(w for w in nodes if w in reach[v] and v in reach[w])
+            for v in nodes}

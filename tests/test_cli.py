@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from congame import NonConvergence
 from congame.cli import main
 
-from .conftest import GAMES, golden_text
+from .conftest import GAMES, REPO, golden_text
 
 BUCHI = str(GAMES / "buchi_cycle.json")
 COBUCHI = str(GAMES / "cobuchi_stabilize.json")
@@ -228,3 +231,34 @@ class TestConvertCli:
         path.write_text('{"states": []}', encoding="utf-8")
         code, _ = run(capsys, "convert", str(path))
         assert code == 2
+
+
+class TestSharedParser:
+    """`main` reuses one parser per process; no parse may leak into the next."""
+
+    def test_back_to_back_commands_match_fresh_processes(self, capsys, tmp_path):
+        strat = tmp_path / "s.json"
+        run(capsys, "extract", COBUCHI, "-o", str(strat))
+        commands = [
+            ["simulate", COBUCHI, str(strat), "--horizon", "8", "--episodes", "2",
+             "--seed", "5", "--start", "S4", "--opponent", "greedy"],
+            ["solve", BUCHI],
+            ["simulate", COBUCHI, str(strat), "--horizon", "8"],
+            ["template", COBUCHI],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        for argv in commands:
+            alone = subprocess.run(
+                [sys.executable, "-m", "congame.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert alone.returncode == 0, alone.stderr
+            assert run(capsys, *argv) == (0, alone.stdout)
+
+    def test_bad_flag_still_exits_2(self, capsys):
+        assert run(capsys, "solve", BUCHI)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", BUCHI, "--no-such-flag"])
+        assert exc.value.code == 2
+        code, out = run(capsys, "solve", BUCHI)
+        assert code == 0
+        assert out == golden_text("solve_buchi_cycle.json")

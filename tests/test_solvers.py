@@ -110,17 +110,22 @@ class TestChainInvariants:
 
 
 class TestOracleEquivalence:
+    """Winning regions and rank chains equal the plain synchronous rounds."""
+
     @given(games_with_subset(n_subsets=1))
     def test_safety(self, gs):
         g, target = gs
-        assert solve_safety(g, target).winning == oracle_solve_safety(g, target)
+        d = solve_safety(g, target)
+        assert (d.winning, d.ranks) == oracle_solve_safety(g, target)
 
     @given(games_with_subset(n_subsets=1))
     def test_buchi(self, gs):
         g, target = gs
-        assert solve_buchi(g, target).winning == oracle_solve_buchi(g, target)
+        d = solve_buchi(g, target)
+        assert (d.winning, d.ranks) == oracle_solve_buchi(g, target)
 
     @given(games_with_subset(n_subsets=1))
     def test_cobuchi(self, gs):
         g, target = gs
-        assert solve_cobuchi(g, target).winning == oracle_solve_cobuchi(g, target)
+        d = solve_cobuchi(g, target)
+        assert (d.winning, d.ranks) == oracle_solve_cobuchi(g, target)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congame import (
     ActionDistribution,
@@ -15,6 +16,7 @@ from congame import (
     Geometric,
     GreedyAdversary,
     InputError,
+    LiveFloorViolation,
     NonConstantSchedule,
     Objective,
     ObjectiveKind,
@@ -34,9 +36,11 @@ from congame import (
     validate_strategy,
     verify_memoryless,
 )
+from congame.strategies import _sccs
 from congame.templates import buchi_template, cobuchi_template
 
 from .conftest import GAMES, games_with_objective
+from .oracles import oracle_sccs
 
 
 def load_strategy(name: str) -> ScheduleStrategy:
@@ -162,6 +166,19 @@ class TestExtraction:
         with pytest.raises(ConflictError) as e:
             extract_strategy(safety_game, t)
         assert e.value.report.conflicts[0].state == "g"
+
+    def test_uncarried_live_group_is_reported(self, buchi_game):
+        # A's only live group is unsafe, and A lies on no cell, so the
+        # conflict check passes but no allowed action can carry the floor
+        t = Template(
+            winning=frozenset(buchi_game.states),
+            unsafe={"A": frozenset({"b"})},
+            live={"A": (frozenset({"b"}),)},
+            partition=(), colive={}, objective_tag="buchi")
+        with pytest.raises(LiveFloorViolation) as e:
+            extract_strategy(buchi_game, t)
+        assert e.value.state == "A"
+        assert "'A'" in str(e.value)
 
     def test_parameter_validation(self, buchi_game):
         t = buchi_template(buchi_game, ["C"])
@@ -302,6 +319,32 @@ class TestVerifyMemoryless:
         s = extract_strategy(g, t)
         decomp = solve(g, obj)
         assert decomp.winning <= verify_memoryless(g, s, obj)
+
+
+@st.composite
+def digraphs(draw):
+    """A node subset of a random digraph whose edges may leave the subset."""
+    names = [f"n{i}" for i in range(draw(st.integers(1, 8)))]
+    edges = {v: frozenset(draw(st.sets(st.sampled_from(names)))) for v in names}
+    nodes = frozenset(draw(st.sets(st.sampled_from(names), min_size=1)))
+    return nodes, edges
+
+
+class TestComponents:
+    @given(digraphs())
+    def test_sccs_match_mutual_reachability(self, graph):
+        nodes, edges = graph
+        comps = _sccs(nodes, edges)
+        assert len(comps) == len(set(comps))
+        assert set(comps) == oracle_sccs(nodes, edges)
+
+    def test_sccs_on_a_long_chain_with_a_back_edge(self):
+        names = [f"n{i:04d}" for i in range(3000)]
+        edges = {v: frozenset({w}) for v, w in zip(names, names[1:])}
+        edges[names[-1]] = frozenset({names[1000]})
+        comps = _sccs(frozenset(names), edges)
+        assert frozenset(names[1000:]) in comps
+        assert len(comps) == 1001
 
 
 class TestOpponents:
