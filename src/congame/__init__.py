@@ -32,7 +32,7 @@ from .convert import (
     load_turn_based,
     tb_from_dict,
 )
-from .corpus import random_game, random_objective, random_subset
+from .corpus import random_game, random_subset
 from .model import (
     ActionDistribution,
     CongameError,
@@ -79,12 +79,9 @@ from .templates import (
     Conflict,
     ConflictReport,
     Template,
-    buchi_template,
     canonical_groups,
     check_conflict_free,
-    cobuchi_template,
     min_prob,
-    safety_template,
     template_for,
     template_from_dict,
     validate_template,

@@ -28,11 +28,11 @@ from .model import (
     InputError,
     Objective,
     ObjectiveKind,
+    map_tasks,
 )
 from .templates import (
     ConflictReport,
     Template,
-    buchi_template,
     canonical_groups,
     check_conflict_free,
     template_for,
@@ -146,7 +146,7 @@ def buchi_conjunction(
             raise UnsupportedObjective(obj.kind.value, "exact conjunction")
     targets = [frozenset(obj.target) for obj in objectives]
     pg, ptarget = counter_product(g, targets)
-    pt = buchi_template(pg, ptarget)
+    pt = template_for(pg, Objective(ObjectiveKind.BUCHI, ptarget))
     k = len(targets)
 
     winning = frozenset(v for v in g.states if _product_name(v, 0) in pt.winning)
@@ -205,17 +205,19 @@ class IncrementalStep:
 def incremental_synthesize(
     g: GameGraph, objectives: Sequence[Objective],
 ) -> list[IncrementalStep]:
-    """Add objectives one at a time, merging their templates and reporting
-    conflicts at each step.  For all-buchi prefixes the exact conjunction
-    region is computed alongside as a permissiveness reference.
+    """Add objectives one at a time, merging each new template into the
+    previous step's merged template (`compose` is associative, so this
+    equals composing the whole prefix) and reporting conflicts at each
+    step.  For all-buchi prefixes the exact conjunction region is computed
+    alongside as a permissiveness reference.
     """
     if not objectives:
         raise InputError("incremental synthesis needs at least one objective")
-    parts: list[Template] = []
+    merged: Optional[Template] = None
     steps: list[IncrementalStep] = []
     for i, obj in enumerate(objectives, start=1):
-        parts.append(template_for(g, obj))
-        merged, report = compose(g, parts)
+        t = template_for(g, obj)
+        merged, report = compose(g, [t] if merged is None else [merged, t])
         exact: Optional[frozenset[str]] = None
         if all(o.kind is ObjectiveKind.BUCHI for o in objectives[:i]):
             _, exact = buchi_conjunction(g, objectives[:i])
@@ -232,8 +234,7 @@ class HeatmapRow:
     conflict_fraction: float
 
 
-def _heatmap_instance(args) -> dict[int, list[bool]]:
-    seed, sizes, max_objectives, n_states = args
+def _heatmap_instance(seed, sizes, max_objectives, n_states) -> dict[int, list[bool]]:
     rng = random.Random(seed)
     g = random_game(rng, n_states=n_states)
     out: dict[int, list[bool]] = {}
@@ -266,13 +267,7 @@ def run_heatmap(
     if games <= 0:
         raise InputError("games must be positive")
     tasks = [(seed + i, tuple(sizes), max_objectives, n_states) for i in range(games)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_heatmap_instance, tasks))
-    else:
-        results = [_heatmap_instance(task) for task in tasks]
+    results = map_tasks(_heatmap_instance, tasks, jobs)
     rows = []
     for size in sizes:
         for k in range(1, max_objectives + 1):

@@ -28,8 +28,9 @@ from .model import (
     dump_json,
     game_to_dict,
     load_game,
+    read_json,
 )
-from .solvers import solve
+from .solvers import RankDecomposition, solve
 from .strategies import (
     FixedSchedule,
     GreedyAdversary,
@@ -50,14 +51,6 @@ from .templates import (
 )
 
 
-def _read_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InputError(f"{path}: invalid JSON: {e}") from None
-
-
 def _write_text(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -73,33 +66,37 @@ def _require_objective(obj: Optional[Objective], path: str) -> Objective:
 
 
 def _load_template_file(path: str, g: GameGraph) -> Template:
-    t = template_from_dict(_read_json(path))
+    t = template_from_dict(read_json(path))
     validate_template(g, t)
     return t
 
 
 def _load_strategy_file(path: str, g: GameGraph):
-    s = strategy_from_dict(_read_json(path))
+    s = strategy_from_dict(read_json(path))
     validate_strategy(g, s)
     return s
 
 
-def _opponent(args: argparse.Namespace, g: GameGraph, obj: Optional[Objective]):
+def _opponent(
+    args: argparse.Namespace, g: GameGraph, obj: Optional[Objective],
+    decomp: Optional[RankDecomposition] = None,
+):
     kind = args.opponent
     if kind == "uniform":
         return UniformRandom()
     if kind == "fixed":
         table = {}
         if args.opponent_file:
-            raw = _read_json(args.opponent_file)
+            raw = read_json(args.opponent_file)
             for v, row in raw.items():
                 if v not in g:
                     raise InputError(f"opponent file mentions unknown state {v!r}")
                 table[v] = ActionDistribution.from_mapping(row)
         return FixedSchedule(table)
     if kind == "greedy":
-        objective = _require_objective(obj, args.game)
-        return GreedyAdversary(solve(g, objective).ranks)
+        if decomp is None:
+            decomp = solve(g, _require_objective(obj, args.game))
+        return GreedyAdversary(decomp.ranks)
     raise InputError(f"unknown opponent {kind!r}")
 
 
@@ -183,12 +180,15 @@ def cmd_simulate(args) -> None:
 
 def cmd_adapt(args) -> None:
     g, obj = load_game(args.game)
-    reward = RewardSpec.from_dict(_read_json(args.reward), g)
+    reward = RewardSpec.from_dict(read_json(args.reward), g)
+    decomp = None
     if args.template:
         t = _load_template_file(args.template, g)
     else:
-        t = template_for(g, _require_objective(obj, args.game))
-    opponent = _opponent(args, g, obj)
+        objective = _require_objective(obj, args.game)
+        decomp = solve(g, objective)
+        t = template_for(g, objective, decomp)
+    opponent = _opponent(args, g, obj, decomp)
     run = run_adaptive(
         g, t, reward, opponent,
         horizon=args.horizon, seed=args.seed, start=args.start,
@@ -296,10 +296,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NonConvergence as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except CongameError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (CongameError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 0

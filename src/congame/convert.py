@@ -28,9 +28,8 @@ through it, and winning player-1 states carry over directly.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .model import (
     GameGraph,
@@ -38,6 +37,7 @@ from .model import (
     Objective,
     ObjectiveKind,
     UnknownState,
+    read_json,
 )
 
 LOOP_ACTION = "loop"
@@ -126,12 +126,7 @@ def tb_from_dict(raw: Mapping) -> TurnBasedGame:
 
 
 def load_turn_based(path: str) -> TurnBasedGame:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InputError(f"{path}: invalid JSON: {e}") from None
-    return tb_from_dict(raw)
+    return tb_from_dict(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -143,13 +138,7 @@ class ConversionStats:
     self_loops_added: int
 
     def to_dict(self) -> dict:
-        return {
-            "p1_states": self.p1_states,
-            "p2_states": self.p2_states,
-            "merged_transitions": self.merged_transitions,
-            "dropped_actions": self.dropped_actions,
-            "self_loops_added": self.self_loops_added,
-        }
+        return asdict(self)
 
 
 def convert(tb: TurnBasedGame) -> tuple[GameGraph, Objective, ConversionStats]:

@@ -1,4 +1,4 @@
-"""Seeded random games and objectives for batch experiments and testing.
+"""Seeded random games and state subsets for batch experiments and testing.
 
 Everything here consumes randomness exclusively through ``rng.random()`` so
 that a given seed reproduces the same instances on any platform and Python
@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 
-from .model import GameGraph, Objective, ObjectiveKind
+from .model import GameGraph
 
 P1_POOL = ("a", "b", "c")
 P2_POOL = ("d", "e", "f")
@@ -51,14 +51,3 @@ def random_game(
                 delta[(v, a, b)] = states[rand_int(rng, n_states)]
     return GameGraph(states, p1, p2, delta)
 
-
-def random_objective(
-    rng: random.Random,
-    g: GameGraph,
-    kinds: Sequence[ObjectiveKind] = tuple(ObjectiveKind),
-    max_size: int | None = None,
-) -> Objective:
-    kind = kinds[rand_int(rng, len(kinds))]
-    limit = g.n_states if max_size is None else min(max_size, g.n_states)
-    size = 1 + rand_int(rng, limit)
-    return Objective(kind, random_subset(rng, g.states, size))

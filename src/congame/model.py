@@ -23,8 +23,10 @@ action sets are represented internally as bitmasks over the sorted index.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+import os
+from itertools import chain
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
@@ -290,12 +292,6 @@ class GameGraph:
             m ^= low
         return out
 
-    def p1_count(self, vi: int) -> int:
-        return len(self._p1[vi])
-
-    def p2_count(self, vi: int) -> int:
-        return len(self._p2[vi])
-
     def p1_names(self, vi: int) -> tuple[str, ...]:
         return self._p1[vi]
 
@@ -409,6 +405,11 @@ def one_round_prob(
 
 # -- serialization ---------------------------------------------------------
 
+def _all_of(kind: type, items: Iterable) -> bool:
+    """Whether every item has exactly the type `kind`, as JSON values do."""
+    return set(map(type, items)) <= {kind}
+
+
 def validate_game(raw: Mapping) -> GameGraph:
     """Build a GameGraph from a raw game description (ignores "objective")."""
     if not isinstance(raw, Mapping):
@@ -416,19 +417,31 @@ def validate_game(raw: Mapping) -> GameGraph:
     for key in ("states", "p1_actions", "p2_actions", "transitions"):
         if key not in raw:
             raise InputError(f"game description missing {key!r}")
-    states = list(raw["states"])
-    if len(set(states)) != len(states):
-        raise InputError("duplicate state names")
+    # names come in lists: a bare string would be split into its characters
+    states = raw["states"]
+    if not isinstance(states, list) or not _all_of(str, states):
+        raise InputError("states must be a list of strings")
+    for key in ("p1_actions", "p2_actions"):
+        table = raw[key]
+        if not (isinstance(table, Mapping) and _all_of(list, table.values())
+                and _all_of(str, chain.from_iterable(table.values()))):
+            raise InputError(f"{key} must map states to lists of strings")
+    if not isinstance(raw["transitions"], list):
+        raise InputError("transitions must be a list")
     delta: dict[tuple[str, str, str], str] = {}
     for t in raw["transitions"]:
         try:
             key = (t["from"], t["p1"], t["p2"])
             dst = t["to"]
+            seen = key in delta
         except (TypeError, KeyError):
             raise InputError(f"malformed transition entry: {t!r}") from None
-        if key in delta:
+        if seen:
             raise DuplicateTransition(*key)
         delta[key] = dst
+    # non-string names in a key match no declared triple; the arena reports them
+    if not _all_of(str, delta.values()):
+        raise InputError("transition targets must be strings")
     return GameGraph(states, raw["p1_actions"], raw["p2_actions"], delta)
 
 
@@ -439,6 +452,8 @@ def parse_objective(raw: Mapping, g: GameGraph) -> Objective:
         kind = ObjectiveKind(raw["kind"])
     except ValueError:
         raise InputError(f"unknown objective kind {raw['kind']!r}") from None
+    if not isinstance(raw["target"], list) or not _all_of(str, raw["target"]):
+        raise InputError("objective target must be a list of strings")
     target = frozenset(raw["target"])
     for s in target:
         if s not in g:
@@ -463,13 +478,18 @@ def game_to_dict(g: GameGraph, objective: Union[Objective, None] = None) -> dict
     return out
 
 
-def load_game(path: str) -> tuple[GameGraph, Union[Objective, None]]:
-    """Read a game JSON file; returns the arena and its objective if present."""
+def read_json(path: str):
+    """Parse the JSON file at `path`; bad JSON or non-UTF-8 text is an input error."""
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
+            return json.load(fh)
+        except ValueError as e:
             raise InputError(f"{path}: invalid JSON: {e}") from None
+
+
+def load_game(path: str) -> tuple[GameGraph, Union[Objective, None]]:
+    """Read a game JSON file; returns the arena and its objective if present."""
+    raw = read_json(path)
     g = validate_game(raw)
     obj = parse_objective(raw["objective"], g) if "objective" in raw else None
     return g, obj
@@ -482,3 +502,28 @@ def dump_json(data, path: Union[str, None]) -> str:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return text
+
+
+# -- batch execution -------------------------------------------------------
+
+def worker_count(jobs: int, n_tasks: int) -> int:
+    """Worker processes for `n_tasks` tasks given a budget of `jobs`: never
+    more than there are tasks or CPUs; 1 means run in this process."""
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
+    return max(1, min(jobs, n_tasks, os.cpu_count() or 1))
+
+
+def map_tasks(func: Callable, tasks: Sequence[tuple], jobs: int) -> list:
+    """`[func(*t) for t in tasks]`, on a process pool when :func:`worker_count`
+    allows more than one worker; results keep the task order."""
+    workers = worker_count(jobs, len(tasks))
+    if workers == 1:
+        return [func(*t) for t in tasks]
+    import multiprocessing
+    from concurrent import futures
+
+    # spawned workers start from a fresh import, not a fork of a threaded parent
+    spawn = multiprocessing.get_context("spawn")
+    with futures.ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+        return list(pool.map(func, *zip(*tasks)))

@@ -95,7 +95,7 @@ def apre1_mask(g: GameGraph, y_mask: int, x_mask: int, cand: Optional[int] = Non
         low = todo & -todo
         vi = low.bit_length() - 1
         stay = a_set_mask(g, vi, y_mask, 0)
-        if stay and b_set_mask(g, vi, x_mask, stay) == (1 << g.p2_count(vi)) - 1:
+        if stay and b_set_mask(g, vi, x_mask, stay) == (1 << len(g.p2_names(vi))) - 1:
             out |= low
         todo ^= low
     return out
@@ -109,7 +109,7 @@ def afpre_fix_mask(g: GameGraph, vi: int, z_mask: int, y_mask: int, x_mask: int)
     """
     stay_z = a_set_mask(g, vi, z_mask, 0)
     gamma = stay_z
-    for _ in range(g.p1_count(vi) + 2):
+    for _ in range(len(g.p1_names(vi)) + 2):
         if not gamma:
             return 0
         nxt = stay_z & a_set_mask(g, vi, y_mask, b_set_mask(g, vi, x_mask, gamma))

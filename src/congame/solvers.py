@@ -65,13 +65,6 @@ class RankDecomposition:
                 return i
         raise KeyError(state)
 
-    def cells(self) -> tuple[frozenset[str], ...]:
-        """Difference cells Ui = Xi \\ Xi-1 for i >= 1."""
-        out = []
-        for i in range(1, len(self.ranks)):
-            out.append(frozenset(self.ranks[i] - self.ranks[i - 1]))
-        return tuple(out)
-
     def to_dict(self) -> dict:
         return {
             "winning": sorted(self.winning),

@@ -34,6 +34,7 @@ from .model import (
     ObjectiveKind,
     UnknownAction,
     UnknownState,
+    map_tasks,
 )
 from .templates import ConflictReport, Template, check_conflict_free
 
@@ -92,9 +93,6 @@ class ScheduleStrategy:
     """Per-state action schedules; weights renormalized at every visit."""
 
     schedules: Mapping[str, Mapping[str, Schedule]]
-
-    def states(self) -> tuple[str, ...]:
-        return tuple(sorted(self.schedules))
 
     def distribution(self, v: str, visit: int) -> ActionDistribution:
         table = self.schedules.get(v)
@@ -525,10 +523,7 @@ class GreedyAdversary:
     ranks: tuple[frozenset[str], ...]
 
     def _score(self, w: str) -> int:
-        for i, x in enumerate(self.ranks):
-            if w in x:
-                return i
-        return len(self.ranks)
+        return next((i for i, x in enumerate(self.ranks) if w in x), len(self.ranks))
 
     def pick(self, g: GameGraph, v: str, d1: ActionDistribution, rng: random.Random) -> str:
         best, best_score = None, -1.0
@@ -604,10 +599,6 @@ def _run_episode(
     )
 
 
-def _episode_worker(args) -> EpisodeLog:
-    return _run_episode(*args)
-
-
 def simulate(
     g: GameGraph,
     s: ScheduleStrategy,
@@ -623,8 +614,9 @@ def simulate(
 
     All randomness flows through random.Random (Mersenne Twister) with the
     per-episode derived seed; P1 samples first, then the opponent, from the
-    same stream.  With jobs > 1 episodes run in a process pool and are merged
-    back in episode order, byte-identical to the sequential run.
+    same stream.  With jobs > 1 episodes may run in a process pool
+    (:func:`~congame.model.map_tasks`) and are merged back in episode order,
+    byte-identical to the sequential run.
     """
     validate_strategy(g, s)
     if start is None:
@@ -641,9 +633,4 @@ def simulate(
         (g, s, opponent, horizon, seed + i, start, tgt, i)
         for i in range(episodes)
     ]
-    if jobs > 1 and episodes > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_episode_worker, tasks))
-    return [_run_episode(*task) for task in tasks]
+    return map_tasks(_run_episode, tasks, jobs)

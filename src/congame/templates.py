@@ -23,13 +23,23 @@ Template (JSON):
 
 Following any strategy whose behaviour respects all three devices wins
 almost surely from every state of `winning`.
+
+One body, :func:`template_for`, serves all three objectives.  From the
+solver's rank chain X0 <= ... <= Xk it makes the actions that can leave Xk
+unsafe, and turns each cell Ui = Xi \\ Xi-1 into a partition cell whose
+states get one live group per opponent action: the non-unsafe actions that
+step into Xi-1 against it.  Cells start at i = 2 for buchi (X0 is empty and
+X1 reaches the target in one round) and at i = 1 otherwise; the safety
+chain has one element, hence no cells.  For cobuchi only, X0 is the safety
+core and its leaving actions that stay in Xk are colive.  States outside
+the cells get the trivial group of all their non-unsafe actions.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional
 
 from .model import (
     ActionDistribution,
@@ -41,7 +51,7 @@ from .model import (
     UnknownState,
 )
 from .operators import a_set_mask
-from .solvers import RankDecomposition, solve_buchi, solve_cobuchi, solve_safety
+from .solvers import RankDecomposition, solve
 
 
 def canonical_groups(groups: Iterable[Iterable[str]]) -> tuple[frozenset[str], ...]:
@@ -69,10 +79,7 @@ class Template:
         return self.live.get(v, ())
 
     def cell_states(self) -> frozenset[str]:
-        out: set[str] = set()
-        for cell in self.partition:
-            out |= cell
-        return frozenset(out)
+        return frozenset().union(*self.partition)
 
     def to_dict(self) -> dict:
         return {
@@ -134,10 +141,7 @@ def min_prob(d: ActionDistribution, groups: Iterable[Iterable[str]]) -> float:
     An empty group contributes 0; an empty collection of groups poses no
     constraint and yields 1.
     """
-    best = 1.0
-    for h in groups:
-        best = min(best, d.mass(h))
-    return best
+    return min((d.mass(h) for h in groups), default=1.0)
 
 
 def _leaving_actions(g: GameGraph, states: frozenset[str]) -> dict[str, frozenset[str]]:
@@ -152,30 +156,6 @@ def _leaving_actions(g: GameGraph, states: frozenset[str]) -> dict[str, frozense
         if s:
             out[v] = s
     return out
-
-
-def _trivial_fill(
-    g: GameGraph,
-    live: dict[str, tuple[frozenset[str], ...]],
-    unsafe: Mapping[str, frozenset[str]],
-) -> None:
-    for v in g.states:
-        if v not in live:
-            live[v] = (frozenset(g.p1_actions(v)) - unsafe.get(v, frozenset()),)
-
-
-def safety_template(
-    g: GameGraph, winning: Union[RankDecomposition, Iterable[str]],
-) -> Template:
-    """Unsafe-action template for staying inside a safety winning region."""
-    w = winning.winning if isinstance(winning, RankDecomposition) else frozenset(winning)
-    unsafe = _leaving_actions(g, w)
-    live: dict[str, tuple[frozenset[str], ...]] = {}
-    _trivial_fill(g, live, unsafe)
-    return Template(
-        winning=w, unsafe=unsafe, live=live, partition=(), colive={},
-        objective_tag="safety",
-    )
 
 
 def _rank_groups(
@@ -194,68 +174,42 @@ def _rank_groups(
     return canonical_groups(groups)
 
 
-def buchi_template(g: GameGraph, target: Iterable[str]) -> Template:
-    """Template whose followers revisit `target` infinitely often a.s.
+def template_for(
+    g: GameGraph,
+    objective: Objective,
+    decomp: Optional[RankDecomposition] = None,
+) -> Template:
+    """The template of `objective` on `g`, built from its rank chain.
 
-    Rank cells come from the solver chain; states of cell Ui get one live
-    group per opponent action holding the actions that progress into Xi-1.
-    Target states and losing states get the trivial group of all non-unsafe
-    actions.
+    `decomp` is the solver's decomposition for this game and objective;
+    when None the objective is solved here.
     """
-    decomp = solve_buchi(g, target)
-    unsafe = _leaving_actions(g, decomp.winning)
-    live: dict[str, tuple[frozenset[str], ...]] = {}
-    partition: list[frozenset[str]] = []
-    ranks = decomp.ranks
-    for i in range(2, len(ranks)):
-        cell = ranks[i] - ranks[i - 1]
-        partition.append(cell)
-        for v in sorted(cell):
-            live[v] = _rank_groups(g, v, ranks[i - 1], unsafe.get(v, frozenset()))
-    _trivial_fill(g, live, unsafe)
-    return Template(
-        winning=decomp.winning, unsafe=unsafe, live=live,
-        partition=tuple(partition), colive={}, objective_tag="buchi",
-    )
-
-
-def cobuchi_template(g: GameGraph, target: Iterable[str]) -> Template:
-    """Template whose followers eventually stay inside `target` a.s.
-
-    Rank 0 is the safety core: there the actions that could leave it (yet
-    stay in the winning region) are colive, playable only finitely.  Higher
-    cells get per-opponent-action progress groups exactly as for buchi,
-    including at target states.
-    """
-    decomp = solve_cobuchi(g, target)
+    if decomp is None:
+        decomp = solve(g, objective)
     unsafe = _leaving_actions(g, decomp.winning)
     ranks = decomp.ranks
-    core = ranks[0]
     colive: dict[str, frozenset[str]] = {}
-    for v, leaving in _leaving_actions(g, core).items():
-        c = leaving - unsafe.get(v, frozenset())
-        if c:
-            colive[v] = c
+    if objective.kind is ObjectiveKind.COBUCHI:
+        for v, leaving in _leaving_actions(g, ranks[0]).items():
+            c = leaving - unsafe.get(v, frozenset())
+            if c:
+                colive[v] = c
     live: dict[str, tuple[frozenset[str], ...]] = {}
     partition: list[frozenset[str]] = []
-    for i in range(1, len(ranks)):
+    first = 2 if objective.kind is ObjectiveKind.BUCHI else 1
+    for i in range(first, len(ranks)):
         cell = ranks[i] - ranks[i - 1]
         partition.append(cell)
         for v in sorted(cell):
             live[v] = _rank_groups(g, v, ranks[i - 1], unsafe.get(v, frozenset()))
-    _trivial_fill(g, live, unsafe)
+    for v in g.states:
+        if v not in live:
+            live[v] = (frozenset(g.p1_actions(v)) - unsafe.get(v, frozenset()),)
     return Template(
         winning=decomp.winning, unsafe=unsafe, live=live,
-        partition=tuple(partition), colive=colive, objective_tag="cobuchi",
+        partition=tuple(partition), colive=colive,
+        objective_tag=objective.kind.value,
     )
-
-
-def template_for(g: GameGraph, objective: Objective) -> Template:
-    if objective.kind is ObjectiveKind.SAFETY:
-        return safety_template(g, solve_safety(g, objective.target))
-    if objective.kind is ObjectiveKind.BUCHI:
-        return buchi_template(g, objective.target)
-    return cobuchi_template(g, objective.target)
 
 
 @dataclass(frozen=True)

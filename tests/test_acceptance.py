@@ -26,10 +26,8 @@ from congame import (
     afpre1,
     afpre_action_fixpoint,
     apre1,
-    buchi_template,
     check_compliance,
     check_conflict_free,
-    cobuchi_template,
     compose,
     extract_strategy,
     heatmap_csv,
@@ -114,7 +112,7 @@ def test_c02_cobuchi_stabilize_goldens(capsys):
         x1 = frozenset({"S0", "S1", "S2", "S3"})
         fix = afpre_action_fixpoint(g, "S2", frozenset(g.states), x1, x1)
         assert fix == {"a", "b", "x", "y"}
-        tpl = cobuchi_template(g, obj.target)
+        tpl = template_for(g, Objective(ObjectiveKind.COBUCHI, frozenset(obj.target)))
         assert tpl.live["S2"] == (frozenset({"a", "y"}), frozenset({"b"}),
                                   frozenset({"x"}))
 
@@ -172,7 +170,7 @@ def test_c05_winning_region_equals_exhaustive_strategy_union():
 def test_c06_extracted_strategy_stabilizes_under_pressure():
     with criterion(6, "cobuchi extraction stabilizes against three opponents", 60.0):
         g, obj = load_game(COBUCHI)
-        tpl = cobuchi_template(g, obj.target)
+        tpl = template_for(g, Objective(ObjectiveKind.COBUCHI, frozenset(obj.target)))
         strat = extract_strategy(g, tpl)
         assert check_compliance(g, tpl, strat).compliant
         opponents = (UniformRandom(), FixedSchedule(HEAVY_D),
@@ -211,9 +209,9 @@ def test_c08_heatmap_determinism_and_merge_soundness():
         for _ in range(40):
             g = random_game(rng, n_states=4)
             parts = [
-                buchi_template(
-                    g, [g.states[min(int(rng.random() * g.n_states),
-                                     g.n_states - 1)]])
+                template_for(g, Objective(ObjectiveKind.BUCHI, frozenset(
+                    [g.states[min(int(rng.random() * g.n_states),
+                                  g.n_states - 1)]])))
                 for _ in range(2)
             ]
             merged, report = compose(g, parts)
@@ -231,7 +229,7 @@ def test_c08_heatmap_determinism_and_merge_soundness():
 def test_c09_adaptation_collects_at_least_fixed_reward():
     with criterion(9, "online adaptation matches or beats the fixed extraction", 60.0):
         g, obj = load_game(COBUCHI)
-        tpl = cobuchi_template(g, obj.target)
+        tpl = template_for(g, Objective(ObjectiveKind.COBUCHI, frozenset(obj.target)))
         strat = extract_strategy(g, tpl)
         reward = RewardSpec({"S0": 1.0})
         opponent = FixedSchedule(HEAVY_D)

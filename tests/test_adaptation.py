@@ -9,6 +9,8 @@ from congame import (
     FixedSchedule,
     GameGraph,
     Infeasible,
+    Objective,
+    ObjectiveKind,
     OpponentModel,
     RewardSpec,
     Template,
@@ -16,8 +18,8 @@ from congame import (
     UnknownAction,
     UnknownState,
     adapt_step,
-    cobuchi_template,
     run_adaptive,
+    template_for,
     update_model,
 )
 
@@ -132,7 +134,8 @@ class TestAdaptStep:
         assert d.prob("a") == pytest.approx(1.0)
 
     def test_floor_lands_on_best_group_member(self, cobuchi_game, cobuchi_objective):
-        t = cobuchi_template(cobuchi_game, cobuchi_objective.target)
+        t = template_for(cobuchi_game, Objective(
+            ObjectiveKind.COBUCHI, frozenset(cobuchi_objective.target)))
         d = adapt_step(cobuchi_game, t, "S2", 0, OpponentModel(),
                        RewardSpec({"S0": 1.0}))
         third = 0.1 / 3.0
@@ -143,7 +146,8 @@ class TestAdaptStep:
         assert d.prob("y") == 0.0
 
     def test_model_steers_group_witness(self, cobuchi_game, cobuchi_objective):
-        t = cobuchi_template(cobuchi_game, cobuchi_objective.target)
+        t = template_for(cobuchi_game, Objective(
+            ObjectiveKind.COBUCHI, frozenset(cobuchi_objective.target)))
         m = OpponentModel(alpha=0.05)
         for _ in range(20):
             m = update_model(cobuchi_game, m, "S2", "d")
@@ -168,7 +172,8 @@ class TestAdaptStep:
 
 class TestRunAdaptive:
     def test_trace_and_bookkeeping(self, cobuchi_game, cobuchi_objective):
-        t = cobuchi_template(cobuchi_game, cobuchi_objective.target)
+        t = template_for(cobuchi_game, Objective(
+            ObjectiveKind.COBUCHI, frozenset(cobuchi_objective.target)))
         run = run_adaptive(
             cobuchi_game, t, RewardSpec({"S0": 1.0}), UniformRandom(),
             horizon=50, seed=0, start="S2")
@@ -184,7 +189,8 @@ class TestRunAdaptive:
         assert total_updates == 50
 
     def test_deterministic(self, cobuchi_game, cobuchi_objective):
-        t = cobuchi_template(cobuchi_game, cobuchi_objective.target)
+        t = template_for(cobuchi_game, Objective(
+            ObjectiveKind.COBUCHI, frozenset(cobuchi_objective.target)))
         kw = dict(horizon=30, seed=9, start="S2")
         r1 = run_adaptive(cobuchi_game, t, RewardSpec({"S0": 1.0}),
                           UniformRandom(), **kw)
@@ -195,7 +201,8 @@ class TestRunAdaptive:
 
     def test_adapts_to_stationary_opponent(self, cobuchi_game, cobuchi_objective):
         # heavy-d opponent at S2: entering S0 through action a pays off
-        t = cobuchi_template(cobuchi_game, cobuchi_objective.target)
+        t = template_for(cobuchi_game, Objective(
+            ObjectiveKind.COBUCHI, frozenset(cobuchi_objective.target)))
         opp = FixedSchedule({"S2": ActionDistribution.from_mapping(
             {"d": 0.8, "e": 0.1, "f": 0.1})})
         run = run_adaptive(
@@ -205,7 +212,8 @@ class TestRunAdaptive:
         assert run.total_reward > 100.0
 
     def test_validates_start(self, cobuchi_game, cobuchi_objective):
-        t = cobuchi_template(cobuchi_game, cobuchi_objective.target)
+        t = template_for(cobuchi_game, Objective(
+            ObjectiveKind.COBUCHI, frozenset(cobuchi_objective.target)))
         with pytest.raises(UnknownState):
             run_adaptive(cobuchi_game, t, RewardSpec({}), UniformRandom(),
                          horizon=5, seed=0, start="zz")

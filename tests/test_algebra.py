@@ -16,7 +16,6 @@ from congame import (
     Template,
     UnsupportedObjective,
     buchi_conjunction,
-    buchi_template,
     check_compliance,
     check_conflict_free,
     compose,
@@ -54,29 +53,31 @@ class TestCompose:
         assert merged.objective_tag == "cobuchi"
 
     def test_commutative(self, buchi_game):
-        t1 = buchi_template(buchi_game, ["C"])
-        t2 = buchi_template(buchi_game, ["A"])
+        t1 = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
+        t2 = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["A"])))
         m12, _ = compose(buchi_game, [t1, t2])
         m21, _ = compose(buchi_game, [t2, t1])
         assert m12.to_dict() == m21.to_dict()
 
     def test_associative(self, buchi_game):
-        t1 = buchi_template(buchi_game, ["C"])
-        t2 = buchi_template(buchi_game, ["A"])
-        t3 = buchi_template(buchi_game, ["B"])
+        t1 = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
+        t2 = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["A"])))
+        t3 = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["B"])))
         nested, _ = compose(buchi_game, [compose(buchi_game, [t1, t2])[0], t3])
         flat, _ = compose(buchi_game, [t1, t2, t3])
         assert nested.to_dict() == flat.to_dict()
 
     def test_winning_is_intersection(self, buchi_game):
-        t1 = buchi_template(buchi_game, ["C"])  # wins everywhere
-        t2 = buchi_template(buchi_game, ["A"])  # loses at the absorbing C
+        t1 = template_for(buchi_game, Objective(
+            ObjectiveKind.BUCHI, frozenset(["C"])))  # wins everywhere
+        t2 = template_for(buchi_game, Objective(
+            ObjectiveKind.BUCHI, frozenset(["A"])))  # loses at the absorbing C
         merged, _ = compose(buchi_game, [t1, t2])
         assert t2.winning == {"A", "B"}
         assert merged.winning == t1.winning & t2.winning
 
     def test_tag_atoms_are_sorted(self, buchi_game, safety_game):
-        t1 = buchi_template(buchi_game, ["C"])
+        t1 = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
         t2 = Template(
             winning=frozenset(buchi_game.states), unsafe={}, live={},
             partition=(), colive={}, objective_tag="safety")
@@ -109,8 +110,8 @@ class TestCompose:
     @settings(max_examples=40)
     def test_merged_constraints_contain_parts(self, gtt):
         g, tgt1, tgt2 = gtt
-        t1 = buchi_template(g, tgt1)
-        t2 = buchi_template(g, tgt2)
+        t1 = template_for(g, Objective(ObjectiveKind.BUCHI, frozenset(tgt1)))
+        t2 = template_for(g, Objective(ObjectiveKind.BUCHI, frozenset(tgt2)))
         merged, _ = compose(g, [t1, t2])
         for part in (t1, t2):
             for v in g.states:
@@ -154,7 +155,7 @@ class TestBuchiConjunction:
         assert t.winning == frozenset()
 
     def test_single_objective_matches_direct_solution(self, buchi_game):
-        base = buchi_template(buchi_game, ["C"])
+        base = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
         proj, winning = buchi_conjunction(
             buchi_game, [Objective(ObjectiveKind.BUCHI, frozenset({"C"}))])
         assert winning == base.winning
@@ -176,13 +177,37 @@ class TestBuchiConjunction:
                 Objective(ObjectiveKind.BUCHI, tgt2)]
         _, exact = buchi_conjunction(g, objs)
         merged, _ = compose(
-            g, [buchi_template(g, tgt1), buchi_template(g, tgt2)])
+            g, [template_for(g, Objective(ObjectiveKind.BUCHI, frozenset(tgt1))),
+                template_for(g, Objective(ObjectiveKind.BUCHI, frozenset(tgt2)))])
         assert exact <= merged.winning
         assert exact <= solve_buchi(g, tgt1).winning
         assert exact <= solve_buchi(g, tgt2).winning
 
 
+@st.composite
+def games_with_objectives(draw):
+    """An arena plus one to four objectives of any kind."""
+    g = draw(game_graphs())
+    objective = st.builds(
+        Objective,
+        st.sampled_from(list(ObjectiveKind)),
+        st.frozensets(st.sampled_from(g.states), min_size=1))
+    return g, draw(st.lists(objective, min_size=1, max_size=4))
+
+
 class TestIncremental:
+    @given(games_with_objectives())
+    @settings(max_examples=40)
+    def test_steps_equal_composing_each_prefix(self, gos):
+        # each step merges into the previous merged template; the reference
+        # composes the whole prefix at once
+        g, objs = gos
+        steps = incremental_synthesize(g, objs)
+        for k, step in enumerate(steps, start=1):
+            ref, report = compose(g, [template_for(g, o) for o in objs[:k]])
+            assert step.template == ref
+            assert step.conflicts == report
+
     def test_steps_accumulate(self, buchi_game):
         objs = [Objective(ObjectiveKind.BUCHI, frozenset({"C"})),
                 Objective(ObjectiveKind.BUCHI, frozenset({"A"})),
@@ -236,6 +261,10 @@ class TestHeatmap:
         with pytest.raises(InputError):
             run_heatmap(games=0)
 
+    def test_nonpositive_jobs_rejected(self):
+        with pytest.raises(InputError, match="jobs must be at least 1"):
+            run_heatmap(games=2, jobs=0)
+
     def test_compose_soundness_on_random_instances(self):
         # a strategy compliant with a merged template is compliant with
         # every part
@@ -244,9 +273,9 @@ class TestHeatmap:
         for _ in range(25):
             g = random_game(rng, n_states=4)
             parts = [
-                buchi_template(
-                    g, [g.states[min(int(rng.random() * g.n_states),
-                                     g.n_states - 1)]])
+                template_for(g, Objective(ObjectiveKind.BUCHI, frozenset(
+                    [g.states[min(int(rng.random() * g.n_states),
+                                  g.n_states - 1)]])))
                 for _ in range(2)
             ]
             merged, report = compose(g, parts)

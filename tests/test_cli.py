@@ -62,6 +62,35 @@ class TestSolve:
         code, _ = run(capsys, "solve", str(path))
         assert code == 2
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"states": ["\xe9"]}'.encode("latin-1"))
+        assert main(["solve", str(path)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("states",), ["A", "B", 3], "states must be a list of strings"),
+        (("p1_actions", "A"), [["a"], "b"], "p1_actions must map states to lists of strings"),
+        (("transitions",), 5, "transitions must be a list"),
+        (("states",), "ABC", "states must be a list of strings"),
+        (("p1_actions", "A"), "ab", "p1_actions must map states to lists of strings"),
+        (("objective", "target"), "AC", "objective target must be a list of strings"),
+    ], ids=["int-state", "list-action", "int-transitions",
+            "string-states", "string-actions", "string-target"])
+    def test_malformed_game_is_input_error(self, capsys, tmp_path, path, value, message):
+        # none may end in a traceback or be split into characters and solved
+        raw = json.loads((GAMES / "buchi_cycle.json").read_text(encoding="utf-8"))
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        bad = tmp_path / "g.json"
+        bad.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["solve", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_nonconvergence_maps_to_3(self, capsys, monkeypatch):
         import congame.cli as cli_mod
         def boom(g, obj):
@@ -193,6 +222,28 @@ class TestAdaptCli:
         assert lines[0] == "step,state,chosen_action,opponent_action,reward,cumulative"
         assert len(lines) == 21
 
+    def test_greedy_solves_once_and_output_is_unchanged(self, capsys, monkeypatch):
+        # the template and the greedy opponent share one solve; the trace
+        # must stay byte-identical to the golden
+        import congame.solvers as solvers_mod
+        calls = []
+
+        def counting_solve(g, objective):
+            calls.append(objective)
+            return real_solve(g, objective)
+
+        real_solve = solvers_mod.solve
+        holders = [mod for name, mod in list(sys.modules.items())
+                   if name.startswith("congame") and getattr(mod, "solve", None) is real_solve]
+        for mod in holders:
+            monkeypatch.setattr(mod, "solve", counting_solve)
+        code, out = run(
+            capsys, "adapt", COBUCHI, REWARD,
+            "--horizon", "40", "--seed", "3", "--start", "S2", "--opponent", "greedy")
+        assert code == 0
+        assert len(calls) == 1
+        assert out == golden_text("adapt_greedy_cobuchi.csv")
+
     def test_bad_reward_state(self, capsys, tmp_path):
         bad = tmp_path / "r.json"
         bad.write_text('{"zz": 1.0}', encoding="utf-8")
@@ -210,6 +261,19 @@ class TestIncrementalCli:
         lines = out.splitlines()
         assert lines[0] == "objective_size,objectives_added,conflict_fraction"
         assert len(lines) == 5
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_exit_2(self, capsys, tmp_path, jobs):
+        strat = tmp_path / "s.json"
+        run(capsys, "extract", COBUCHI, "-o", str(strat))
+        for argv in (["incremental", "--games", "2", "--sizes", "1"],
+                     ["simulate", COBUCHI, str(strat), "--episodes", "2"]):
+            assert main([*argv, "--jobs", jobs]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "jobs must be at least 1" in captured.err
 
 
 class TestConvertCli:

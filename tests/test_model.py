@@ -26,6 +26,7 @@ from congame import (
     parse_objective,
     validate_game,
 )
+from congame.model import worker_count
 
 from .conftest import GAMES, game_graphs
 
@@ -67,6 +68,14 @@ class TestConstruction:
         raw["transitions"].append(
             {"from": "A", "p1": "a", "p2": "d", "to": "B"})
         with pytest.raises(DuplicateTransition):
+            validate_game(raw)
+
+    @pytest.mark.parametrize("field, value", [
+        ("from", 1), ("p1", ["a"]), ("p2", {"d": 1}), ("to", ["A"]), ("to", 2)])
+    def test_non_string_transition_field(self, field, value):
+        raw = tiny_raw()
+        raw["transitions"][0][field] = value
+        with pytest.raises(InputError):
             validate_game(raw)
 
     def test_unknown_target_state(self):
@@ -286,3 +295,34 @@ class TestSerialization:
     def test_game_to_dict_includes_objective(self, buchi_game, buchi_objective):
         raw = game_to_dict(buchi_game, buchi_objective)
         assert raw["objective"] == {"kind": "buchi", "target": ["C"]}
+
+
+class TestWorkerCount:
+    """The pool size is clamped by the tasks and the CPUs; only the pure
+    count is exercised, so no pool is ever started here."""
+
+    @pytest.fixture(autouse=True)
+    def eight_cpus(self, monkeypatch):
+        import congame.model as model_mod
+        monkeypatch.setattr(model_mod.os, "cpu_count", lambda: 8)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_rejects_nonpositive(self, jobs):
+        with pytest.raises(InputError, match="jobs must be at least 1"):
+            worker_count(jobs, 10)
+
+    @pytest.mark.parametrize("jobs, n_tasks, expected", [
+        (1, 10, 1),
+        (2, 10, 2),
+        (2, 1, 1),
+        (10**6, 10, 8),
+        (10**6, 3, 3),
+        (10**6, 0, 1),
+    ])
+    def test_clamped(self, jobs, n_tasks, expected):
+        assert worker_count(jobs, n_tasks) == expected
+
+    def test_unknown_cpu_count_runs_serially(self, monkeypatch):
+        import congame.model as model_mod
+        monkeypatch.setattr(model_mod.os, "cpu_count", lambda: None)
+        assert worker_count(10**6, 10) == 1

@@ -37,7 +37,6 @@ from congame import (
     verify_memoryless,
 )
 from congame.strategies import _sccs
-from congame.templates import buchi_template, cobuchi_template
 
 from .conftest import GAMES, games_with_objective
 from .oracles import oracle_sccs
@@ -108,7 +107,7 @@ class TestSchedules:
 
 class TestExtraction:
     def test_buchi_cycle_values(self, buchi_game):
-        t = buchi_template(buchi_game, ["C"])
+        t = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
         s = extract_strategy(buchi_game, t)
         d_a = s.distribution("A", 0)
         assert d_a.prob("a") == pytest.approx(0.55)
@@ -119,7 +118,8 @@ class TestExtraction:
         assert d_c.prob("b") == pytest.approx(0.45)
 
     def test_cobuchi_stabilize_values(self, cobuchi_game, cobuchi_objective):
-        t = cobuchi_template(cobuchi_game, cobuchi_objective.target)
+        t = template_for(cobuchi_game, Objective(
+            ObjectiveKind.COBUCHI, frozenset(cobuchi_objective.target)))
         s = extract_strategy(cobuchi_game, t)
         d = s.distribution("S2", 0)
         third = 0.1 / 3.0
@@ -130,7 +130,8 @@ class TestExtraction:
         assert d.prob("y") == pytest.approx(base)
 
     def test_floor_guarantee_on_examples(self, cobuchi_game, cobuchi_objective):
-        t = cobuchi_template(cobuchi_game, cobuchi_objective.target)
+        t = template_for(cobuchi_game, Objective(
+            ObjectiveKind.COBUCHI, frozenset(cobuchi_objective.target)))
         s = extract_strategy(cobuchi_game, t, eps_live=0.3)
         for v in sorted(t.winning):
             groups = [h for h in t.groups_at(v) if h]
@@ -181,7 +182,7 @@ class TestExtraction:
         assert "'A'" in str(e.value)
 
     def test_parameter_validation(self, buchi_game):
-        t = buchi_template(buchi_game, ["C"])
+        t = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
         with pytest.raises(InputError):
             extract_strategy(buchi_game, t, eps_live=0.0)
         with pytest.raises(InputError):
@@ -234,14 +235,14 @@ class TestCompliance:
         assert check_compliance(cobuchi_game, t, s).compliant
 
     def test_live_violation(self, buchi_game):
-        t = buchi_template(buchi_game, ["C"])
+        t = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
         s = load_strategy("strategy_buchi_nonmax.json")
         verdict = check_compliance(buchi_game, t, s)
         assert verdict.status == "noncompliant"
         assert (verdict.state, verdict.clause) == ("A", "live")
 
     def test_vanishing_live_mass_is_unknown(self, buchi_game):
-        t = buchi_template(buchi_game, ["C"])
+        t = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
         s = strategy_from_dict({
             "A": {"a": {"kind": "geometric", "c": 0.5, "r": 0.5},
                   "b": {"kind": "constant", "p": 0.5}},
@@ -252,7 +253,7 @@ class TestCompliance:
         assert (verdict.state, verdict.clause) == ("A", "live")
 
     def test_all_geometric_dominance_by_ratio(self, buchi_game):
-        t = buchi_template(buchi_game, ["C"])
+        t = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
         s = strategy_from_dict({
             "A": {"a": {"kind": "geometric", "c": 0.1, "r": 0.9},
                   "b": {"kind": "geometric", "c": 0.9, "r": 0.5}},
@@ -279,7 +280,7 @@ class TestVerifyMemoryless:
             == frozenset()
 
     def test_buchi_extracted_wins_everywhere(self, buchi_game, buchi_objective):
-        t = buchi_template(buchi_game, ["C"])
+        t = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
         s = extract_strategy(buchi_game, t)
         assert verify_memoryless(buchi_game, s, buchi_objective) \
             == frozenset(buchi_game.states)
@@ -379,7 +380,7 @@ class TestOpponents:
 
 class TestSimulation:
     def test_deterministic_given_seed(self, buchi_game, buchi_objective):
-        t = buchi_template(buchi_game, ["C"])
+        t = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
         s = extract_strategy(buchi_game, t)
         kw = dict(horizon=50, episodes=5, seed=7, target=buchi_objective.target)
         first = simulate(buchi_game, s, UniformRandom(), **kw)
@@ -387,7 +388,7 @@ class TestSimulation:
         assert [log.to_dict() for log in first] == [log.to_dict() for log in second]
 
     def test_jobs_do_not_change_results(self, buchi_game, buchi_objective):
-        t = buchi_template(buchi_game, ["C"])
+        t = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
         s = extract_strategy(buchi_game, t)
         kw = dict(horizon=40, episodes=4, seed=3, target=buchi_objective.target)
         seq = simulate(buchi_game, s, UniformRandom(), jobs=1, **kw)
@@ -395,7 +396,7 @@ class TestSimulation:
         assert [log.to_dict() for log in seq] == [log.to_dict() for log in par]
 
     def test_episode_seeds_are_offset(self, buchi_game):
-        t = buchi_template(buchi_game, ["C"])
+        t = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
         s = extract_strategy(buchi_game, t)
         logs = simulate(buchi_game, s, UniformRandom(),
                         horizon=10, episodes=3, seed=100)
@@ -403,7 +404,7 @@ class TestSimulation:
         assert [log.episode for log in logs] == [0, 1, 2]
 
     def test_buchi_target_visit_counts(self, buchi_game, buchi_objective):
-        t = buchi_template(buchi_game, ["C"])
+        t = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
         s = extract_strategy(buchi_game, t)
         logs = simulate(buchi_game, s, UniformRandom(),
                         horizon=1000, episodes=50, seed=0,
@@ -411,7 +412,7 @@ class TestSimulation:
         assert all(log.target_visits >= 100 for log in logs)
 
     def test_log_bookkeeping(self, buchi_game, buchi_objective):
-        t = buchi_template(buchi_game, ["C"])
+        t = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
         s = extract_strategy(buchi_game, t)
         (log,) = simulate(buchi_game, s, UniformRandom(),
                           horizon=25, episodes=1, seed=1,
@@ -429,7 +430,8 @@ class TestSimulation:
         assert log.longest_target_suffix == suffix
 
     def test_start_state_override(self, cobuchi_game):
-        t = cobuchi_template(cobuchi_game, ["S0", "S1", "S2", "S3"])
+        t = template_for(cobuchi_game, Objective(
+            ObjectiveKind.COBUCHI, frozenset(["S0", "S1", "S2", "S3"])))
         s = extract_strategy(cobuchi_game, t)
         (log,) = simulate(cobuchi_game, s, UniformRandom(),
                           horizon=5, episodes=1, seed=0, start="S4")
@@ -440,7 +442,7 @@ class TestSimulation:
                      horizon=5, episodes=1, seed=0, start="zz")
 
     def test_bad_parameters(self, buchi_game):
-        t = buchi_template(buchi_game, ["C"])
+        t = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
         s = extract_strategy(buchi_game, t)
         with pytest.raises(InputError):
             simulate(buchi_game, s, UniformRandom(),

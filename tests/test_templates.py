@@ -13,13 +13,10 @@ from congame import (
     Template,
     UnknownAction,
     UnknownState,
-    buchi_template,
     canonical_groups,
     check_conflict_free,
-    cobuchi_template,
     min_prob,
-    safety_template,
-    solve_safety,
+    solve,
     template_for,
     template_from_dict,
     validate_template,
@@ -29,8 +26,16 @@ from .conftest import games_with_objective, golden_json
 
 
 class TestSynthesis:
+    @given(games_with_objective())
+    def test_given_decomposition_matches_own_solve(self, go):
+        g, obj = go
+        t = template_for(g, obj, solve(g, obj))
+        assert t == template_for(g, obj)
+        assert t.objective_tag == obj.kind.value
+
+
     def test_safety_gadget(self, safety_game):
-        t = safety_template(safety_game, solve_safety(safety_game, ["g"]))
+        t = template_for(safety_game, Objective(ObjectiveKind.SAFETY, frozenset(["g"])))
         assert t.winning == {"g"}
         assert t.unsafe_at("g") == {"u"}
         assert t.unsafe_at("t") == frozenset()
@@ -39,22 +44,24 @@ class TestSynthesis:
         assert t.objective_tag == "safety"
 
     def test_buchi_cycle_matches_golden(self, buchi_game):
-        t = buchi_template(buchi_game, ["C"])
+        t = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
         assert t.to_dict() == golden_json("template_buchi_cycle.json")
 
     def test_buchi_cycle_structure(self, buchi_game):
-        t = buchi_template(buchi_game, ["C"])
+        t = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
         assert t.partition == (frozenset({"A", "B"}),)
         assert t.groups_at("A") == (frozenset({"a"}),)
         assert t.groups_at("C") == (frozenset({"a", "b"}),)
         assert not t.unsafe and not t.colive
 
     def test_cobuchi_stabilize_matches_golden(self, cobuchi_game, cobuchi_objective):
-        t = cobuchi_template(cobuchi_game, cobuchi_objective.target)
+        t = template_for(cobuchi_game, Objective(
+            ObjectiveKind.COBUCHI, frozenset(cobuchi_objective.target)))
         assert t.to_dict() == golden_json("template_cobuchi_stabilize.json")
 
     def test_cobuchi_stabilize_structure(self, cobuchi_game, cobuchi_objective):
-        t = cobuchi_template(cobuchi_game, cobuchi_objective.target)
+        t = template_for(cobuchi_game, Objective(
+            ObjectiveKind.COBUCHI, frozenset(cobuchi_objective.target)))
         assert t.partition == (frozenset({"S2", "S3"}), frozenset({"S4"}))
         assert t.groups_at("S2") == (
             frozenset({"a", "y"}), frozenset({"b"}), frozenset({"x"}))
@@ -105,7 +112,8 @@ class TestCanonical:
 
 class TestSerialization:
     def test_round_trip(self, cobuchi_game, cobuchi_objective):
-        t = cobuchi_template(cobuchi_game, cobuchi_objective.target)
+        t = template_for(cobuchi_game, Objective(
+            ObjectiveKind.COBUCHI, frozenset(cobuchi_objective.target)))
         u = template_from_dict(t.to_dict())
         assert u.winning == t.winning
         assert u.partition == t.partition
@@ -194,7 +202,7 @@ class TestConflicts:
             "state": "g", "clause": "no-safe-action", "witness": ["s", "u"]}
 
     def test_clean_report_dict(self, buchi_game):
-        t = buchi_template(buchi_game, ["C"])
+        t = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
         assert check_conflict_free(buchi_game, t).to_dict() == {
             "conflict_free": True, "conflicts": []}
 
