@@ -17,7 +17,6 @@ import statistics
 from pathlib import Path
 
 from congame import (
-    ActionDistribution,
     FixedSchedule,
     RewardSpec,
     extract_strategy,
@@ -31,9 +30,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def load_opponent(path: Path) -> FixedSchedule:
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    table = {v: ActionDistribution.from_mapping(dist) for v, dist in raw.items()}
-    return FixedSchedule(table)
+    return FixedSchedule.from_dict(json.loads(path.read_text(encoding="utf-8")))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -81,10 +81,45 @@ from .templates import (
     Template,
     canonical_groups,
     check_conflict_free,
+    check_weight_params,
     min_prob,
     template_for,
     template_from_dict,
     validate_template,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # adaptation
+    "AdaptiveRun", "Infeasible", "OpponentModel", "RewardSpec", "adapt_step",
+    "run_adaptive", "update_model",
+    # algebra
+    "GameMismatch", "HeatmapRow", "IncrementalStep", "UnsupportedObjective",
+    "buchi_conjunction", "compose", "counter_product", "heatmap_csv",
+    "incremental_synthesize", "run_heatmap",
+    # convert
+    "ConversionStats", "NonRectangularActions", "NotAlternating",
+    "TurnBasedGame", "convert", "load_turn_based", "tb_from_dict",
+    # corpus
+    "random_game", "random_subset",
+    # model
+    "ActionDistribution", "CongameError", "DuplicateTransition",
+    "EmptyActionSet", "GameGraph", "InputError", "MissingTransition",
+    "NonConvergence", "Objective", "ObjectiveKind", "PlayPrefix",
+    "UnknownAction", "UnknownState", "dump_json", "game_to_dict", "load_game",
+    "one_round_prob", "parse_objective", "validate_game",
+    # operators
+    "a_set", "afpre1", "afpre_action_fixpoint", "apre1", "b_set", "pre1",
+    # solvers
+    "RankDecomposition", "solve", "solve_buchi", "solve_cobuchi",
+    "solve_safety",
+    # strategies
+    "ComplianceVerdict", "ConflictError", "Constant", "EpisodeLog",
+    "FixedSchedule", "Geometric", "GreedyAdversary", "LiveFloorViolation",
+    "NonConstantSchedule", "ScheduleStrategy", "UniformRandom",
+    "check_compliance", "extract_strategy", "simulate", "strategy_from_dict",
+    "validate_strategy", "verify_memoryless",
+    # templates
+    "Conflict", "ConflictReport", "Template", "canonical_groups",
+    "check_conflict_free", "check_weight_params", "min_prob", "template_for",
+    "template_from_dict", "validate_template",
+]

@@ -12,6 +12,7 @@ Reward (JSON): {state: weight}, states absent default to 0.
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -23,9 +24,10 @@ from .model import (
     InputError,
     UnknownAction,
     UnknownState,
+    _all_finite,
 )
 from .strategies import Opponent, _sample
-from .templates import Template
+from .templates import Template, check_weight_params
 
 
 class Infeasible(InputError):
@@ -47,14 +49,12 @@ class RewardSpec:
 
     @staticmethod
     def from_dict(raw: Mapping, g: Optional[GameGraph] = None) -> "RewardSpec":
-        if not isinstance(raw, Mapping):
-            raise InputError("reward spec must be a JSON object")
-        weights = {}
-        for v, w in raw.items():
+        if not (isinstance(raw, Mapping) and _all_finite(raw.values())):
+            raise InputError("reward spec must map states to finite numbers")
+        for v in raw:
             if g is not None and v not in g:
                 raise UnknownState(v)
-            weights[v] = float(w)
-        return RewardSpec(weights)
+        return RewardSpec({v: float(w) for v, w in raw.items()})
 
     def to_dict(self) -> dict:
         return {v: w for v, w in sorted(self.weights.items())}
@@ -103,15 +103,11 @@ def adapt_step(
     goes to the action with the best one-step expected reward under the
     opponent model (ties lexicographic).
     """
-    all_acts = frozenset(g.p1_actions(v))
-    s_set = t.unsafe_at(v) & all_acts
-    allowed = all_acts - s_set
-    if not allowed:
-        raise Infeasible(v, "every action is unsafe")
-    c_set = t.colive_at(v) & allowed
-    r_acts = allowed - c_set
+    _, c_set, r_acts = t.split_at(g, v)
     if not r_acts:
-        raise Infeasible(v, "every non-unsafe action is colive")
+        raise Infeasible(v, "every non-unsafe action is colive" if c_set
+                         else "every action is unsafe")
+    allowed = c_set | r_acts
 
     est = model.estimate(g, v)
     expected = {
@@ -122,15 +118,13 @@ def adapt_step(
     def best_of(pool) -> str:
         return max(sorted(pool), key=lambda a: expected[a])
 
-    groups = [h for h in t.groups_at(v) if h]
-    m = max(len(t.groups_at(v)), 1)
-    floor = eps_live / m
+    floor = t.live_floor(v, eps_live)
     alloc: dict[str, float] = {}
     floored = 0
-    for h in groups:
+    for h in t.groups_at(v):
         pool = h & r_acts
         if not pool:
-            # only on hand-built templates; the group's own cell covers it
+            # an empty group, or one of a hand-built template; its cell covers it
             continue
         w = best_of(pool)
         alloc[w] = alloc.get(w, 0.0) + floor
@@ -181,16 +175,15 @@ def _check_step(
     eps_live: float,
     colive_base: float,
 ) -> bool:
-    if d.mass(t.unsafe_at(v)) > 0.0:
+    unsafe, colive, persistent = t.split_at(g, v)
+    if d.mass(unsafe) > 0.0:
         return False
-    if d.mass(t.colive_at(v)) > colive_base * 2.0 ** -visit + 1e-9:
+    if d.mass(colive) > colive_base * 2.0 ** -visit + 1e-9:
         return False
-    hs = t.groups_at(v)
-    floor = eps_live / max(len(hs), 1)
-    for h in hs:
-        if h and h & (frozenset(g.p1_actions(v)) - t.unsafe_at(v) - t.colive_at(v)):
-            if d.mass(h) < floor - 1e-9:
-                return False
+    floor = t.live_floor(v, eps_live)
+    for h in t.groups_at(v):
+        if h & persistent and d.mass(h) < floor - 1e-9:
+            return False
     return True
 
 
@@ -220,6 +213,9 @@ def run_adaptive(
         raise UnknownState(start)
     if horizon < 0:
         raise InputError("horizon must be nonnegative")
+    check_weight_params(eps_live, colive_base)
+    if not 0.0 < alpha < math.inf:
+        raise InputError("alpha must be positive and finite")
     rng = random.Random(seed)
     model = OpponentModel(alpha=alpha)
     v = start

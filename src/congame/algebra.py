@@ -266,6 +266,8 @@ def run_heatmap(
     """
     if games <= 0:
         raise InputError("games must be positive")
+    if not all(type(size) is int and size > 0 for size in sizes):
+        raise InputError(f"target sizes must be positive integers, got {list(sizes)}")
     tasks = [(seed + i, tuple(sizes), max_objectives, n_states) for i in range(games)]
     results = map_tasks(_heatmap_instance, tasks, jobs)
     rows = []

@@ -19,7 +19,6 @@ from .adaptation import RewardSpec, run_adaptive
 from .algebra import compose, heatmap_csv, run_heatmap
 from .convert import convert, load_turn_based
 from .model import (
-    ActionDistribution,
     CongameError,
     GameGraph,
     InputError,
@@ -85,14 +84,9 @@ def _opponent(
     if kind == "uniform":
         return UniformRandom()
     if kind == "fixed":
-        table = {}
         if args.opponent_file:
-            raw = read_json(args.opponent_file)
-            for v, row in raw.items():
-                if v not in g:
-                    raise InputError(f"opponent file mentions unknown state {v!r}")
-                table[v] = ActionDistribution.from_mapping(row)
-        return FixedSchedule(table)
+            return FixedSchedule.from_dict(read_json(args.opponent_file), g)
+        return FixedSchedule()
     if kind == "greedy":
         if decomp is None:
             decomp = solve(g, _require_objective(obj, args.game))
@@ -121,10 +115,12 @@ def cmd_compose(args) -> None:
 
 
 def cmd_incremental(args) -> None:
-    sizes = tuple(int(s) for s in args.sizes.split(","))
+    parts = args.sizes.split(",")
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise InputError(f"--sizes must be comma-separated positive integers, got {args.sizes!r}")
     rows = run_heatmap(
         games=args.games,
-        sizes=sizes,
+        sizes=tuple(map(int, parts)),
         max_objectives=args.max_objectives,
         n_states=args.states,
         seed=args.seed,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from itertools import chain
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -314,10 +315,11 @@ class ActionDistribution:
         items = [(a, float(p)) for a, p in sorted(weights.items()) if p != 0.0]
         if not items:
             raise InputError("distribution has empty support")
-        if any(p < 0 for _, p in items):
-            raise InputError("distribution has negative weight")
+        # negated tests, so that NaN fails them too
+        if any(not p > 0 for _, p in items):
+            raise InputError("distribution has a negative or NaN weight")
         total = sum(p for _, p in items)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise InputError(f"distribution sums to {total}, not 1")
         return ActionDistribution(tuple(items))
 
@@ -410,6 +412,29 @@ def _all_of(kind: type, items: Iterable) -> bool:
     return set(map(type, items)) <= {kind}
 
 
+def _names_in(items: Iterable, depth: int = 1) -> bool:
+    """Whether every item is a list of strings (depth 1) or a list of such
+    lists (depth 2), by C-level type scans."""
+    for _ in range(depth):
+        items = tuple(items)
+        if not _all_of(list, items):
+            return False
+        items = chain.from_iterable(items)
+    return _all_of(str, items)
+
+
+_NUMBER = (int, float)  # the types of JSON numbers; bool is not one
+_MAX_FLOAT = sys.float_info.max
+
+
+def _all_finite(items: Iterable) -> bool:
+    """Whether every item is a JSON number of finite value: NaN, the
+    infinities and integers beyond the float range fail."""
+    items = tuple(items)
+    return (set(map(type, items)) <= set(_NUMBER)
+            and all(map(_MAX_FLOAT.__ge__, map(abs, items))))
+
+
 def validate_game(raw: Mapping) -> GameGraph:
     """Build a GameGraph from a raw game description (ignores "objective")."""
     if not isinstance(raw, Mapping):
@@ -419,12 +444,10 @@ def validate_game(raw: Mapping) -> GameGraph:
             raise InputError(f"game description missing {key!r}")
     # names come in lists: a bare string would be split into its characters
     states = raw["states"]
-    if not isinstance(states, list) or not _all_of(str, states):
+    if not _names_in((states,)):
         raise InputError("states must be a list of strings")
     for key in ("p1_actions", "p2_actions"):
-        table = raw[key]
-        if not (isinstance(table, Mapping) and _all_of(list, table.values())
-                and _all_of(str, chain.from_iterable(table.values()))):
+        if not (isinstance(raw[key], Mapping) and _names_in(raw[key].values())):
             raise InputError(f"{key} must map states to lists of strings")
     if not isinstance(raw["transitions"], list):
         raise InputError("transitions must be a list")
@@ -452,7 +475,7 @@ def parse_objective(raw: Mapping, g: GameGraph) -> Objective:
         kind = ObjectiveKind(raw["kind"])
     except ValueError:
         raise InputError(f"unknown objective kind {raw['kind']!r}") from None
-    if not isinstance(raw["target"], list) or not _all_of(str, raw["target"]):
+    if not _names_in((raw["target"],)):
         raise InputError("objective target must be a list of strings")
     target = frozenset(raw["target"])
     for s in target:

@@ -22,6 +22,7 @@ Unknown rather than guessed.
 from __future__ import annotations
 
 import random
+from itertools import chain
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -34,9 +35,13 @@ from .model import (
     ObjectiveKind,
     UnknownAction,
     UnknownState,
+    _all_finite,
+    _all_of,
+    _MAX_FLOAT,
+    _NUMBER,
     map_tasks,
 )
-from .templates import ConflictReport, Template, check_conflict_free
+from .templates import ConflictReport, Template, check_conflict_free, check_weight_params
 
 
 class ConflictError(InputError):
@@ -120,23 +125,26 @@ class ScheduleStrategy:
 
 
 def strategy_from_dict(raw: Mapping) -> ScheduleStrategy:
-    if not isinstance(raw, Mapping):
-        raise InputError("strategy must be a JSON object")
+    if not (isinstance(raw, Mapping) and _all_of(dict, raw.values())):
+        raise InputError("strategy must map states to JSON objects of schedules")
     schedules: dict[str, dict[str, Schedule]] = {}
     for v, row in raw.items():
         table: dict[str, Schedule] = {}
         for a, spec in row.items():
             kind = spec.get("kind") if isinstance(spec, Mapping) else None
+            # the upper bound also rejects integers beyond the float range
             if kind == "constant":
-                p = float(spec["p"])
-                if p <= 0.0:
-                    raise InputError(f"constant weight must be positive at {v!r}/{a!r}")
-                table[a] = Constant(p)
+                p = spec.get("p")
+                if type(p) not in _NUMBER or not 0.0 < p <= _MAX_FLOAT:
+                    raise InputError(
+                        f"constant weight must be a positive finite number at {v!r}/{a!r}")
+                table[a] = Constant(float(p))
             elif kind == "geometric":
-                c, r = float(spec["c"]), float(spec["r"])
-                if c <= 0.0 or not 0.0 < r < 1.0:
+                c, r = spec.get("c"), spec.get("r")
+                if not (type(c) in _NUMBER and type(r) in _NUMBER
+                        and 0.0 < c <= _MAX_FLOAT and 0.0 < r < 1.0):
                     raise InputError(f"bad geometric schedule at {v!r}/{a!r}")
-                table[a] = Geometric(c, r)
+                table[a] = Geometric(float(c), float(r))
             else:
                 raise InputError(f"unknown schedule kind at {v!r}/{a!r}: {spec!r}")
         if not table:
@@ -174,37 +182,26 @@ def extract_strategy(
     action floored so the group keeps normalized mass >= eps_live/|H(v)| at
     every visit (the floor is pre-inflated against the visit-0 colive mass).
     """
-    if not 0.0 < eps_live < 1.0:
-        raise InputError("eps_live must lie in (0, 1)")
-    if colive_base <= 0.0:
-        raise InputError("colive_base must be positive")
+    check_weight_params(eps_live, colive_base)
     report = check_conflict_free(g, t)
     if not report.ok:
         raise ConflictError(report)
 
     schedules: dict[str, dict[str, Schedule]] = {}
     for v in g.states:
-        all_acts = frozenset(g.p1_actions(v))
-        s_set = t.unsafe_at(v) & all_acts
-        c_set = (t.colive_at(v) & all_acts) - s_set
-        allowed = all_acts - s_set
-        if not allowed:
-            # only possible outside the winning region of a hand-merged
-            # template; fall back to unconstrained play
-            allowed, c_set = all_acts, frozenset()
-        r_acts = allowed - c_set
+        _, c_set, r_acts = t.split_at(g, v)
         if not r_acts:
-            r_acts, c_set = allowed, frozenset()
+            # only outside the winning region of a hand-merged template:
+            # colive actions become constants, all-unsafe plays unconstrained
+            r_acts, c_set = c_set or frozenset(g.p1_actions(v)), frozenset()
 
         table: dict[str, Schedule] = {}
         for a in sorted(c_set):
             table[a] = Geometric(colive_base, 0.5)
 
-        all_groups = t.groups_at(v)
-        groups = [h for h in all_groups if h and h & r_acts]
-        m = max(len(all_groups), 1)
+        groups = [h for h in t.groups_at(v) if h & r_acts]
         k0 = len(c_set) * colive_base
-        floor = (eps_live / m) * (1.0 + k0)
+        floor = t.live_floor(v, eps_live) * (1.0 + k0)
         if floor * len(groups) >= 0.9:
             raise InputError(
                 f"cannot fit live floors at {v!r}: eps_live/colive_base too large")
@@ -219,11 +216,9 @@ def extract_strategy(
     out = ScheduleStrategy(schedules)
     # the floors must survive visit-0 renormalization against colive mass
     for v in g.states:
-        groups = [h for h in t.groups_at(v) if h]
-        if groups and v in t.winning:
-            d0 = out.distribution(v, 0)
-            need = eps_live / max(len(t.groups_at(v)), 1)
-            for h in groups:
+        if v in t.winning and any(t.groups_at(v)):
+            d0, need = out.distribution(v, 0), t.live_floor(v, eps_live)
+            for h in filter(None, t.groups_at(v)):
                 if d0.mass(h) < need - 1e-12:
                     raise LiveFloorViolation(v, h, d0.mass(h), need)
     return out
@@ -279,12 +274,11 @@ def check_compliance(g: GameGraph, t: Template, s: ScheduleStrategy) -> Complian
     unknown: Optional[ComplianceVerdict] = None
     for v in g.states:
         table = s.schedules[v]
-        scheduled = frozenset(table)
         dominant, positive = _limit_sets(table)
-
-        if t.unsafe_at(v) & scheduled:
+        unsafe, colive, _ = t.split_at(g, v)
+        if unsafe & positive:
             return ComplianceVerdict("noncompliant", v, "unsafe")
-        if t.colive_at(v) & dominant:
+        if colive & dominant:
             return ComplianceVerdict("noncompliant", v, "colive")
         if v in on_cell:
             for h in t.groups_at(v):
@@ -502,6 +496,17 @@ class FixedSchedule:
     """
 
     table: Mapping[str, ActionDistribution] = field(default_factory=dict)
+
+    @staticmethod
+    def from_dict(raw: Mapping, g: Optional[GameGraph] = None) -> "FixedSchedule":
+        """Read {state: {action: weight}}; each row must be a distribution."""
+        if not (isinstance(raw, Mapping) and _all_of(dict, raw.values())
+                and _all_finite(chain.from_iterable(map(dict.values, raw.values())))):
+            raise InputError("opponent must map states to JSON objects of finite weights")
+        for v in raw:
+            if g is not None and v not in g:
+                raise InputError(f"opponent file mentions unknown state {v!r}")
+        return FixedSchedule({v: ActionDistribution.from_mapping(row) for v, row in raw.items()})
 
     def pick(self, g: GameGraph, v: str, d1: ActionDistribution, rng: random.Random) -> str:
         d = self.table.get(v)

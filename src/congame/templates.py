@@ -37,6 +37,7 @@ the cells get the trivial group of all their non-unsafe actions.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import Optional
@@ -49,6 +50,7 @@ from .model import (
     ObjectiveKind,
     UnknownAction,
     UnknownState,
+    _names_in,
 )
 from .operators import a_set_mask
 from .solvers import RankDecomposition, solve
@@ -78,6 +80,17 @@ class Template:
     def groups_at(self, v: str) -> tuple[frozenset[str], ...]:
         return self.live.get(v, ())
 
+    def split_at(self, g: GameGraph, v: str) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+        """P1 actions at `v` as (unsafe, colive and not unsafe, the rest)."""
+        acts = frozenset(g.p1_actions(v))
+        unsafe = self.unsafe_at(v) & acts
+        colive = self.colive_at(v) & (acts - unsafe)
+        return unsafe, colive, acts - unsafe - colive
+
+    def live_floor(self, v: str, eps_live: float) -> float:
+        """The mass each live group at `v` must keep: eps_live / |H(v)|."""
+        return eps_live / max(len(self.groups_at(v)), 1)
+
     def cell_states(self) -> frozenset[str]:
         return frozenset().union(*self.partition)
 
@@ -98,6 +111,18 @@ def template_from_dict(raw: Mapping) -> Template:
     for key in ("winning", "live", "partition", "objective_tag"):
         if key not in raw:
             raise InputError(f"template missing {key!r}")
+    # names come in lists: a bare string would be split into its characters
+    if not _names_in((raw["winning"],)):
+        raise InputError("template winning must be a list of strings")
+    if not _names_in((raw["partition"],), 2):
+        raise InputError("template partition must be a list of lists of strings")
+    for key, depth in (("unsafe", 1), ("colive", 1), ("live", 2)):
+        table = raw.get(key, {})
+        if not (isinstance(table, Mapping) and _names_in(table.values(), depth)):
+            inner = "lists of strings" if depth == 1 else "lists of lists of strings"
+            raise InputError(f"template {key} must map states to {inner}")
+    if not isinstance(raw["objective_tag"], str):
+        raise InputError("template objective_tag must be a string")
     unsafe = {v: frozenset(s) for v, s in raw.get("unsafe", {}).items() if s}
     colive = {v: frozenset(c) for v, c in raw.get("colive", {}).items() if c}
     live = {v: canonical_groups(hs) for v, hs in raw["live"].items()}
@@ -108,7 +133,7 @@ def template_from_dict(raw: Mapping) -> Template:
         live=live,
         partition=partition,
         colive=colive,
-        objective_tag=str(raw["objective_tag"]),
+        objective_tag=raw["objective_tag"],
     )
 
 
@@ -133,6 +158,14 @@ def validate_template(g: GameGraph, t: Template) -> None:
         for v in cell:
             if v not in g:
                 raise UnknownState(v)
+
+
+def check_weight_params(eps_live: float, colive_base: float) -> None:
+    """The one range check of the live floor and colive weight parameters."""
+    if not 0.0 < eps_live < 1.0:
+        raise InputError("eps_live must lie in (0, 1)")
+    if not 0.0 < colive_base < math.inf:
+        raise InputError("colive_base must be positive and finite")
 
 
 def min_prob(d: ActionDistribution, groups: Iterable[Iterable[str]]) -> float:
@@ -247,15 +280,13 @@ def check_conflict_free(g: GameGraph, t: Template) -> ConflictReport:
     found: list[Conflict] = []
     on_cell = t.cell_states()
     for v in sorted(t.winning):
-        all_acts = frozenset(g.p1_actions(v))
-        s = t.unsafe_at(v)
-        c = t.colive_at(v)
-        if not all_acts - s:
+        s, c, r = t.split_at(g, v)
+        if not c | r:
             found.append(Conflict(v, "no-safe-action", tuple(sorted(s))))
-        if not all_acts - s - c:
+        if not r:
             found.append(Conflict(v, "no-persistent-action", tuple(sorted(s | c))))
         if v in on_cell:
             for h in t.groups_at(v):
-                if h and not h - s - c:
+                if h and not h & r:
                     found.append(Conflict(v, "live-group-blocked", tuple(sorted(h))))
     return ConflictReport(tuple(found))

@@ -9,6 +9,7 @@ from congame import (
     FixedSchedule,
     GameGraph,
     Infeasible,
+    InputError,
     Objective,
     ObjectiveKind,
     OpponentModel,
@@ -59,6 +60,14 @@ class TestRewardSpec:
             RewardSpec.from_dict({"zz": 1.0}, chain_game)
         r = RewardSpec.from_dict({"Q": 2}, chain_game)
         assert r.at("Q") == 2.0
+
+    @pytest.mark.parametrize("raw", [
+        {"Q": "x"}, {"Q": "1.5"}, {"Q": float("nan")}, {"Q": float("inf")},
+        {"Q": True}, {"Q": None}, {"Q": [1.0]}, {"Q": 10 ** 400}, [1.0],
+    ])
+    def test_from_dict_rejects_non_numbers(self, chain_game, raw):
+        with pytest.raises(InputError, match="reward spec must map states to finite numbers"):
+            RewardSpec.from_dict(raw, chain_game)
 
     def test_round_trip(self):
         r = RewardSpec({"b": 1.0, "a": -2.5})
@@ -217,3 +226,20 @@ class TestRunAdaptive:
         with pytest.raises(UnknownState):
             run_adaptive(cobuchi_game, t, RewardSpec({}), UniformRandom(),
                          horizon=5, seed=0, start="zz")
+
+    @pytest.mark.parametrize("params, message", [
+        ({"eps_live": float("nan")}, "eps_live must lie in"),
+        ({"eps_live": 1.0}, "eps_live must lie in"),
+        ({"colive_base": -1.0}, "colive_base must be positive and finite"),
+        ({"colive_base": float("inf")}, "colive_base must be positive and finite"),
+        ({"alpha": 0.0}, "alpha must be positive and finite"),
+        ({"alpha": -1.0}, "alpha must be positive and finite"),
+        ({"alpha": float("nan")}, "alpha must be positive and finite"),
+        ({"alpha": float("inf")}, "alpha must be positive and finite"),
+    ])
+    def test_rejects_bad_parameters(self, cobuchi_game, cobuchi_objective, params, message):
+        # the same weight-parameter check as extraction, plus the model's alpha
+        t = template_for(cobuchi_game, cobuchi_objective)
+        with pytest.raises(InputError, match=message):
+            run_adaptive(cobuchi_game, t, RewardSpec({}), UniformRandom(),
+                         horizon=5, seed=0, **params)

@@ -265,6 +265,11 @@ class TestHeatmap:
         with pytest.raises(InputError, match="jobs must be at least 1"):
             run_heatmap(games=2, jobs=0)
 
+    @pytest.mark.parametrize("sizes", [(0,), (1, -2), (1.5,), ("1",), (True,)])
+    def test_bad_sizes_rejected(self, sizes):
+        with pytest.raises(InputError, match="target sizes must be positive integers"):
+            run_heatmap(games=2, sizes=sizes)
+
     def test_compose_soundness_on_random_instances(self):
         # a strategy compliant with a merged template is compliant with
         # every part

@@ -251,6 +251,73 @@ class TestAdaptCli:
         assert code == 2
 
 
+OPP_ARGS = ["--opponent", "fixed", "--opponent-file"]
+TEMPLATE = '"live": {}, "partition": [], "objective_tag": "buchi"'
+
+
+class TestBadInputsCli:
+    """Malformed input files and out-of-range parameters exit 2 with a message
+    and no traceback; `{f}` in a command stands for the written input file."""
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (["adapt", COBUCHI, REWARD, *OPP_ARGS, "{f}"], "[1]",
+         "opponent must map states to JSON objects of finite weights"),
+        (["adapt", COBUCHI, REWARD, *OPP_ARGS, "{f}"], '{"S2": "de"}',
+         "opponent must map states to JSON objects of finite weights"),
+        (["adapt", COBUCHI, REWARD, *OPP_ARGS, "{f}"], '{"S2": {"d": NaN, "e": 0.5}}',
+         "opponent must map states to JSON objects of finite weights"),
+        (["simulate", COBUCHI, str(GAMES / "strategy_cobuchi_nonmax.json"), *OPP_ARGS, "{f}"],
+         '{"S2": {"d": "0.5", "e": 0.5}}',
+         "opponent must map states to JSON objects of finite weights"),
+        (["verify", COBUCHI, "{f}"], '{"S0": [1]}',
+         "strategy must map states to JSON objects of schedules"),
+        (["verify", COBUCHI, "{f}"], '{"S0": {"a": {"kind": "constant"}}}',
+         "constant weight must be a positive finite number at 'S0'/'a'"),
+        (["verify", COBUCHI, "{f}"], '{"S2": {"a": {"kind": "constant", "p": NaN}}}',
+         "constant weight must be a positive finite number at 'S2'/'a'"),
+        (["simulate", COBUCHI, "{f}"],
+         '{"S0": {"a": {"kind": "geometric", "c": Infinity, "r": 0.5}}}',
+         "bad geometric schedule at 'S0'/'a'"),
+        (["extract", BUCHI, "{f}"], '{"winning": [], "live": [], "partition": [], '
+         '"objective_tag": "buchi"}',
+         "template live must map states to lists of lists of strings"),
+        (["extract", BUCHI, "{f}"], '{"winning": "AB", ' + TEMPLATE + "}",
+         "template winning must be a list of strings"),
+        (["extract", BUCHI, "{f}"], '{"winning": ["A", "B"], "partition": ["B"], '
+         '"live": {}, "objective_tag": "buchi"}',
+         "template partition must be a list of lists of strings"),
+        (["adapt", COBUCHI, "{f}"], '{"S0": "x"}', "reward spec must map states to finite numbers"),
+        (["adapt", COBUCHI, "{f}"], '{"S0": "1.5"}', "reward spec must map states to finite numbers"),
+        (["adapt", COBUCHI, "{f}"], '{"S0": NaN}', "reward spec must map states to finite numbers"),
+        (["adapt", COBUCHI, REWARD, "--eps-live", "nan"], None, "eps_live must lie in (0, 1)"),
+        (["adapt", COBUCHI, REWARD, "--colive-base", "-1"], None,
+         "colive_base must be positive and finite"),
+        (["adapt", COBUCHI, REWARD, "--alpha", "0"], None, "alpha must be positive and finite"),
+        (["extract", COBUCHI, "--colive-base", "inf"], None,
+         "colive_base must be positive and finite"),
+        (["incremental", "--games", "2", "--sizes", "a"], None,
+         "--sizes must be comma-separated positive integers, got 'a'"),
+        (["incremental", "--games", "2", "--sizes", "1,,2"], None,
+         "--sizes must be comma-separated positive integers, got '1,,2'"),
+        (["incremental", "--games", "2", "--sizes", "0"], None,
+         "target sizes must be positive integers, got [0]"),
+    ], ids=["opponent-list", "opponent-string-row", "opponent-nan", "opponent-numeric-string",
+            "strategy-list-row", "strategy-constant-without-p", "strategy-nan-p",
+            "strategy-infinite-c", "template-live-list", "template-string-winning",
+            "template-string-cells", "reward-string", "reward-numeric-string", "reward-nan",
+            "adapt-eps-live-nan", "adapt-colive-base-negative", "adapt-alpha-zero",
+            "extract-colive-base-inf", "incremental-sizes-letter", "incremental-sizes-empty",
+            "incremental-sizes-zero"])
+    def test_exit_2_with_message(self, capsys, tmp_path, argv, text, message):
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        assert main([arg.replace("{f}", str(path)) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 class TestIncrementalCli:
     def test_csv_shape(self, capsys):
         code, out = run(

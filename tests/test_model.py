@@ -186,6 +186,16 @@ class TestDistribution:
         with pytest.raises(InputError):
             ActionDistribution.from_mapping({})
 
+    @pytest.mark.parametrize("weights", [
+        {"d": float("nan"), "e": 0.5},
+        {"d": float("nan"), "e": 1.0},
+        {"d": float("inf")},
+        {"d": float("-inf"), "e": 1.0},
+    ])
+    def test_from_mapping_rejects_non_finite(self, weights):
+        with pytest.raises(InputError):
+            ActionDistribution.from_mapping(weights)
+
     def test_uniform_and_point(self):
         u = ActionDistribution.uniform(["b", "a"])
         assert u.probs == (("a", 0.5), ("b", 0.5))

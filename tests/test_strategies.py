@@ -96,6 +96,28 @@ class TestSchedules:
         with pytest.raises(InputError):
             strategy_from_dict({"A": {}})
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"A": [1]}, "strategy must map states to JSON objects of schedules"),
+        ({"A": "a"}, "strategy must map states to JSON objects of schedules"),
+        ({"A": {"a": {"kind": "constant"}}}, "constant weight must be a positive finite"),
+        ({"A": {"a": {"kind": "constant", "p": float("nan")}}}, "constant weight"),
+        ({"A": {"a": {"kind": "constant", "p": float("inf")}}}, "constant weight"),
+        ({"A": {"a": {"kind": "constant", "p": 10 ** 400}}}, "constant weight"),
+        ({"A": {"a": {"kind": "constant", "p": "0.5"}}}, "constant weight"),
+        ({"A": {"a": {"kind": "constant", "p": True}}}, "constant weight"),
+        ({"A": {"a": {"kind": "geometric", "c": float("inf"), "r": 0.5}}}, "bad geometric"),
+        ({"A": {"a": {"kind": "geometric", "c": 0.5, "r": float("nan")}}}, "bad geometric"),
+        ({"A": {"a": {"kind": "geometric", "c": 0.5}}}, "bad geometric"),
+    ])
+    def test_from_dict_rejects_wrong_types_and_non_finite(self, raw, message):
+        with pytest.raises(InputError, match=message):
+            strategy_from_dict(raw)
+
+    def test_from_dict_accepts_integer_weights(self):
+        s = strategy_from_dict({"A": {"a": {"kind": "constant", "p": 2},
+                                      "b": {"kind": "geometric", "c": 1, "r": 0.5}}})
+        assert s.schedules["A"] == {"a": Constant(2.0), "b": Geometric(1.0, 0.5)}
+
     def test_validate_strategy(self, buchi_game):
         with pytest.raises(UnknownState):
             validate_strategy(buchi_game, all_constant({"A": {"a": 1.0}}))
@@ -187,6 +209,10 @@ class TestExtraction:
             extract_strategy(buchi_game, t, eps_live=0.0)
         with pytest.raises(InputError):
             extract_strategy(buchi_game, t, colive_base=-1.0)
+        for eps_live, colive_base in ((float("nan"), 0.25), (0.1, float("nan")),
+                                      (0.1, float("inf"))):
+            with pytest.raises(InputError):
+                extract_strategy(buchi_game, t, eps_live, colive_base)
 
     @given(games_with_objective())
     @settings(max_examples=60)
@@ -349,6 +375,25 @@ class TestComponents:
 
 
 class TestOpponents:
+    def test_fixed_schedule_from_dict(self, cobuchi_game):
+        opp = FixedSchedule.from_dict({"S2": {"d": 0.5, "e": 0.5, "f": 0}}, cobuchi_game)
+        assert opp.table == {"S2": ActionDistribution.from_mapping({"d": 0.5, "e": 0.5})}
+
+    @pytest.mark.parametrize("raw", [
+        [1], {"S2": "de"}, {"S2": [0.5, 0.5]}, {"S2": {"d": "0.5", "e": 0.5}},
+        {"S2": {"d": float("nan"), "e": 0.5}}, {"S2": {"d": float("inf")}},
+        {"S2": {"d": True}},
+    ])
+    def test_fixed_schedule_from_dict_rejects(self, cobuchi_game, raw):
+        with pytest.raises(InputError, match="opponent must map states"):
+            FixedSchedule.from_dict(raw, cobuchi_game)
+
+    def test_fixed_schedule_from_dict_checks_states_and_sums(self, cobuchi_game):
+        with pytest.raises(InputError, match="unknown state 'zz'"):
+            FixedSchedule.from_dict({"zz": {"d": 1.0}}, cobuchi_game)
+        with pytest.raises(InputError, match="sums to"):
+            FixedSchedule.from_dict({"S2": {"d": 0.5}}, cobuchi_game)
+
     def test_fixed_schedule_fallback(self, cobuchi_game):
         import random
         opp = FixedSchedule({})

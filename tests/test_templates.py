@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 
@@ -15,6 +17,7 @@ from congame import (
     UnknownState,
     canonical_groups,
     check_conflict_free,
+    check_weight_params,
     min_prob,
     solve,
     template_for,
@@ -110,6 +113,49 @@ class TestCanonical:
         assert min_prob(d, []) == 1.0
 
 
+class TestReadingAtState:
+    def test_split_at_partitions_the_actions(self, safety_game):
+        t = Template(
+            winning=frozenset({"g"}), unsafe={"g": frozenset({"u", "zz"})},
+            live={}, partition=(), colive={"g": frozenset({"s", "u"})},
+            objective_tag="safety")
+        # colive excludes unsafe; names the game does not have are dropped
+        assert t.split_at(safety_game, "g") == (frozenset({"u"}), frozenset({"s"}), frozenset())
+        assert t.split_at(safety_game, "t") == (frozenset(), frozenset(), frozenset({"s"}))
+
+    @given(games_with_objective())
+    def test_split_at_covers_every_action_once(self, go):
+        g, obj = go
+        t = template_for(g, obj)
+        for v in g.states:
+            unsafe, colive, persistent = t.split_at(g, v)
+            assert unsafe | colive | persistent == frozenset(g.p1_actions(v))
+            assert len(unsafe) + len(colive) + len(persistent) == len(g.p1_actions(v))
+
+    def test_live_floor_divides_by_group_count(self, cobuchi_game, cobuchi_objective):
+        t = template_for(cobuchi_game, cobuchi_objective)
+        assert len(t.groups_at("S2")) == 3
+        assert t.live_floor("S2", 0.3) == 0.3 / 3
+        assert t.live_floor("S3", 0.3) == 0.3  # one empty group
+        assert t.live_floor("nowhere", 0.3) == 0.3  # no groups at all
+
+    @pytest.mark.parametrize("eps_live, colive_base, message", [
+        (0.0, 0.25, "eps_live must lie in (0, 1)"),
+        (1.0, 0.25, "eps_live must lie in (0, 1)"),
+        (float("nan"), 0.25, "eps_live must lie in (0, 1)"),
+        (0.1, 0.0, "colive_base must be positive and finite"),
+        (0.1, -1.0, "colive_base must be positive and finite"),
+        (0.1, float("nan"), "colive_base must be positive and finite"),
+        (0.1, float("inf"), "colive_base must be positive and finite"),
+    ])
+    def test_weight_params_rejected(self, eps_live, colive_base, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            check_weight_params(eps_live, colive_base)
+
+    def test_weight_params_accepted(self):
+        check_weight_params(0.5, 1e300)
+
+
 class TestSerialization:
     def test_round_trip(self, cobuchi_game, cobuchi_objective):
         t = template_for(cobuchi_game, Objective(
@@ -125,6 +171,17 @@ class TestSerialization:
     def test_missing_key(self):
         with pytest.raises(InputError):
             template_from_dict({"winning": [], "live": {}, "partition": []})
+
+    @pytest.mark.parametrize("key, value", [
+        ("winning", "AB"), ("winning", [1]), ("partition", ["B"]),
+        ("partition", [[1]]), ("live", []), ("live", {"A": ["a"]}),
+        ("unsafe", {"A": "ab"}), ("colive", []), ("objective_tag", 5),
+    ])
+    def test_wrong_json_types_rejected(self, key, value):
+        raw = {"winning": ["A", "B"], "live": {"A": [["a"]]},
+               "partition": [["B"]], "objective_tag": "buchi", key: value}
+        with pytest.raises(InputError, match=f"template {key} must"):
+            template_from_dict(raw)
 
     def test_validate_unknown_state(self, safety_game):
         t = Template(
