@@ -16,6 +16,7 @@ import math
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Optional
 
 from .model import (
@@ -85,6 +86,90 @@ def update_model(g: GameGraph, m: OpponentModel, v: str, b: str) -> OpponentMode
     return OpponentModel(alpha=m.alpha, counts=counts)
 
 
+class _Plan:
+    """What adaptation reads at one state during one episode.
+
+    Built on the state's first visit, so a state the template leaves no
+    move at raises :class:`Infeasible` on the step that reaches it, and a
+    state never visited never raises.
+
+    * floor  -- the mass each live group keeps;
+    * checks -- unsafe set, colive set, floor and the live groups with a
+      persistent member: what :func:`_check_step` holds a move to;
+    * pools  -- per such group, its persistent members (the floor goes to
+      the best of them);
+    * allowed, rest -- the non-unsafe and the persistent actions;
+    * p2, counts -- the opponent's actions and how often each was seen
+      here;
+    * rows   -- per allowed action, its reward against each opponent action;
+    * succ   -- (successor, its reward) by (P1 action, P2 action).
+
+    Action tuples are sorted, so ties keep breaking lexicographically.
+    """
+
+    __slots__ = ("state", "floor", "checks", "pools", "colive", "allowed", "rest",
+                 "p2", "p2_index", "counts", "rows", "succ")
+
+    def __init__(self, g: GameGraph, t: Template, v: str, reward: RewardSpec,
+                 eps_live: float):
+        unsafe, colive, rest = t.split_at(g, v)
+        if not rest:
+            raise Infeasible(v, "every non-unsafe action is colive" if colive
+                             else "every action is unsafe")
+        # a group with no persistent member (empty, or from a hand-built
+        # template) is left to its cell
+        groups = tuple(h for h in t.groups_at(v) if h & rest)
+        self.state = v
+        self.floor = t.live_floor(v, eps_live)
+        self.checks = (unsafe, colive, self.floor, groups)
+        self.pools = tuple(tuple(sorted(h & rest)) for h in groups)
+        self.colive = colive
+        self.allowed = tuple(sorted(colive | rest))
+        self.rest = tuple(sorted(rest))
+        self.p2 = g.p2_actions(v)
+        self.p2_index = {b: i for i, b in enumerate(self.p2)}
+        self.counts = [0] * len(self.p2)
+        self.succ = {}
+        for a in self.allowed:
+            for b in self.p2:
+                w = g.succ(v, a, b)
+                self.succ[a, b] = (w, reward.at(w))
+        self.rows = tuple((a, [self.succ[a, b][1] for b in self.p2])
+                          for a in self.allowed)
+
+
+def _greedy(plan: _Plan, est: list[float], visit: int, colive_base: float) -> ActionDistribution:
+    """The greedy move at the plan's state on its `visit`-th visit, given
+    the opponent estimate `est` over ``plan.p2``; see :func:`adapt_step`."""
+    expected = {a: sum(map(mul, est, row)) for a, row in plan.rows}
+
+    def best_of(pool: tuple[str, ...]) -> str:
+        return max(pool, key=expected.__getitem__)
+
+    floor = plan.floor
+    alloc: dict[str, float] = {}
+    for pool in plan.pools:
+        w = best_of(pool)
+        alloc[w] = alloc.get(w, 0.0) + floor
+    rem = 1.0 - floor * len(plan.pools)
+    if rem < 0:
+        raise Infeasible(plan.state, "live floors exceed total mass")
+
+    cap = colive_base * 2.0 ** -visit
+    best = best_of(plan.allowed)
+    if best in plan.colive:
+        spend = min(rem, cap)
+        if spend > 0:
+            alloc[best] = alloc.get(best, 0.0) + spend
+            rem -= spend
+        best = best_of(plan.rest)
+    if rem > 0:
+        alloc[best] = alloc.get(best, 0.0) + rem
+    # sorted with zeros dropped, as from_mapping would build it
+    return ActionDistribution(tuple(sorted(
+        (a, p) for a, p in alloc.items() if p != 0.0)))
+
+
 def adapt_step(
     g: GameGraph,
     t: Template,
@@ -103,47 +188,11 @@ def adapt_step(
     goes to the action with the best one-step expected reward under the
     opponent model (ties lexicographic).
     """
-    _, c_set, r_acts = t.split_at(g, v)
-    if not r_acts:
-        raise Infeasible(v, "every non-unsafe action is colive" if c_set
-                         else "every action is unsafe")
-    allowed = c_set | r_acts
-
-    est = model.estimate(g, v)
-    expected = {
-        a: sum(p * reward.at(g.succ(v, a, b)) for b, p in est.probs)
-        for a in sorted(allowed)
-    }
-
-    def best_of(pool) -> str:
-        return max(sorted(pool), key=lambda a: expected[a])
-
-    floor = t.live_floor(v, eps_live)
-    alloc: dict[str, float] = {}
-    floored = 0
-    for h in t.groups_at(v):
-        pool = h & r_acts
-        if not pool:
-            # an empty group, or one of a hand-built template; its cell covers it
-            continue
-        w = best_of(pool)
-        alloc[w] = alloc.get(w, 0.0) + floor
-        floored += 1
-    rem = 1.0 - floor * floored
-    if rem < 0:
-        raise Infeasible(v, "live floors exceed total mass")
-
-    cap = colive_base * 2.0 ** -visit
-    best = best_of(allowed)
-    if best in c_set:
-        spend = min(rem, cap)
-        if spend > 0:
-            alloc[best] = alloc.get(best, 0.0) + spend
-            rem -= spend
-        best = best_of(r_acts)
-    if rem > 0:
-        alloc[best] = alloc.get(best, 0.0) + rem
-    return ActionDistribution.from_mapping(alloc)
+    plan = _Plan(g, t, v, reward, eps_live)
+    est = dict(model.estimate(g, v).probs)
+    d = _greedy(plan, [est.get(b, 0.0) for b in plan.p2], visit, colive_base)
+    # the weights come unchecked here, so the move gets from_mapping's checks
+    return ActionDistribution.from_mapping(dict(d.probs))
 
 
 @dataclass
@@ -176,13 +225,20 @@ def _check_step(
     colive_base: float,
 ) -> bool:
     unsafe, colive, persistent = t.split_at(g, v)
+    groups = tuple(h for h in t.groups_at(v) if h & persistent)
+    return _complies((unsafe, colive, t.live_floor(v, eps_live), groups),
+                     d, visit, colive_base)
+
+
+def _complies(checks: tuple, d: ActionDistribution, visit: int, colive_base: float) -> bool:
+    """Whether `d` keeps to the plan's ``checks`` on the `visit`-th visit."""
+    unsafe, colive, floor, groups = checks
     if d.mass(unsafe) > 0.0:
         return False
     if d.mass(colive) > colive_base * 2.0 ** -visit + 1e-9:
         return False
-    floor = t.live_floor(v, eps_live)
-    for h in t.groups_at(v):
-        if h & persistent and d.mass(h) < floor - 1e-9:
+    for h in groups:
+        if d.mass(h) < floor - 1e-9:
             return False
     return True
 
@@ -217,7 +273,7 @@ def run_adaptive(
     if not 0.0 < alpha < math.inf:
         raise InputError("alpha must be positive and finite")
     rng = random.Random(seed)
-    model = OpponentModel(alpha=alpha)
+    plans: dict[str, _Plan] = {}
     v = start
     visits: dict[str, int] = {}
     rows: list[tuple[int, str, str, str, float, float]] = []
@@ -226,15 +282,31 @@ def run_adaptive(
     for step in range(horizon):
         n = visits.get(v, 0)
         visits[v] = n + 1
-        d = adapt_step(g, t, v, n, model, reward, eps_live, colive_base)
-        if not _check_step(g, t, v, n, d, eps_live, colive_base):
+        plan = plans.get(v)
+        if plan is None:
+            plan = plans[v] = _Plan(g, t, v, reward, eps_live)
+        # OpponentModel.estimate, on the plan's counts
+        denom = sum(plan.counts) + alpha * len(plan.p2)
+        est = [(c + alpha) / denom for c in plan.counts]
+        if 0.0 in est:
+            # an extreme alpha underflowed a share; the estimate drops it
+            # (a zero product leaves every sum as it was) or, with no
+            # share left, raises
+            ActionDistribution.from_mapping(dict(zip(plan.p2, est)))
+        d = _greedy(plan, est, n, colive_base)
+        if not _complies(plan.checks, d, n, colive_base):
             violations += 1
         a = _sample(rng, d)
         b = opponent.pick(g, v, d, rng)
-        model = update_model(g, model, v, b)
-        w = g.succ(v, a, b)
-        r = reward.at(w)
+        # update_model, in place
+        bi = plan.p2_index.get(b)
+        if bi is None:
+            raise UnknownAction(v, b, player=2)
+        plan.counts[bi] += 1
+        w, r = plan.succ[a, b]
         cum += r
         rows.append((step, v, a, b, r, cum))
         v = w
+    model = OpponentModel(alpha=alpha, counts={
+        u: {b: c for b, c in zip(p.p2, p.counts) if c} for u, p in plans.items()})
     return AdaptiveRun(rows=rows, total_reward=cum, violations=violations, model=model)

@@ -37,6 +37,8 @@ from .model import (
     Objective,
     ObjectiveKind,
     UnknownState,
+    _all_of,
+    _names_in,
     read_json,
 )
 
@@ -72,23 +74,26 @@ def tb_from_dict(raw: Mapping) -> TurnBasedGame:
     for key in ("states", "transitions", "winning", "objective_kind"):
         if key not in raw:
             raise InputError(f"turn-based game missing {key!r}")
+    for key in ("states", "transitions"):
+        if not (type(raw[key]) is list and _all_of(dict, raw[key])):
+            raise InputError(f"turn-based {key} must be a list of JSON objects")
     owners: dict[str, int] = {}
     for entry in raw["states"]:
-        try:
-            sid, owner = entry["id"], int(entry["owner"])
-        except (TypeError, KeyError):
-            raise InputError(f"malformed state entry: {entry!r}") from None
-        if owner not in (1, 2):
-            raise InputError(f"state {sid!r} has owner {owner}, expected 1 or 2")
+        sid, owner = entry.get("id"), entry.get("owner")
+        if type(sid) is not str or "owner" not in entry:
+            raise InputError(f"malformed state entry: {entry!r}")
+        # the JSON integers 1 and 2; neither a bool, a float nor a string
+        if type(owner) is not int or owner not in (1, 2):
+            raise InputError(f"state {sid!r} has owner {owner!r}, expected 1 or 2")
         if sid in owners:
             raise InputError(f"duplicate state id {sid!r}")
         owners[sid] = owner
     moves: dict[str, dict[str, str]] = {s: {} for s in owners}
     for entry in raw["transitions"]:
-        try:
-            src, label, dst = entry["from"], entry["label"], entry["to"]
-        except (TypeError, KeyError):
-            raise InputError(f"malformed transition entry: {entry!r}") from None
+        move = entry.get("from"), entry.get("label"), entry.get("to")
+        if not _all_of(str, move):
+            raise InputError(f"malformed transition entry: {entry!r}")
+        src, label, dst = move
         if src not in owners:
             raise UnknownState(src)
         if dst not in owners:
@@ -101,16 +106,20 @@ def tb_from_dict(raw: Mapping) -> TurnBasedGame:
         raise InputError("winning must have 'kind' and 'items'")
     kind = winning["kind"]
     if kind == "transitions":
+        if not (type(winning["items"]) is list and _all_of(dict, winning["items"])):
+            raise InputError("winning transitions must be a list of JSON objects")
         items = set()
         for entry in winning["items"]:
-            try:
-                triple = (entry["from"], entry["label"], entry["to"])
-            except (TypeError, KeyError):
-                raise InputError(f"malformed winning transition: {entry!r}") from None
+            triple = (entry.get("from"), entry.get("label"), entry.get("to"))
+            if not _all_of(str, triple):
+                raise InputError(f"malformed winning transition: {entry!r}")
             if moves.get(triple[0], {}).get(triple[1]) != triple[2]:
                 raise InputError(f"winning transition not in game: {triple!r}")
             items.add(triple)
     elif kind == "states":
+        # a bare string would be split into its characters
+        if not _names_in((winning["items"],)):
+            raise InputError("winning states must be a list of strings")
         items = set()
         for sid in winning["items"]:
             if sid not in owners:

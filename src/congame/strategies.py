@@ -578,12 +578,18 @@ def _run_episode(
     rng = random.Random(seed)
     v = start
     visits: dict[str, int] = {}
+    # the distribution of each visited row whose schedules are all constant
+    fixed: dict[str, ActionDistribution] = {}
     steps: list[tuple[str, str, str, str]] = []
     state_seq = [v]
     for _ in range(horizon):
         n = visits.get(v, 0)
         visits[v] = n + 1
-        d1 = s.distribution(v, n)
+        d1 = fixed.get(v)
+        if d1 is None:
+            d1 = s.distribution(v, n)
+            if not n and all(isinstance(x, Constant) for x in s.schedules[v].values()):
+                fixed[v] = d1
         a = _sample(rng, d1)
         b = opponent.pick(g, v, d1, rng)
         w = g.succ(v, a, b)

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congame import (
     ActionDistribution,
     FixedSchedule,
     GameGraph,
+    GreedyAdversary,
     Infeasible,
     InputError,
     Objective,
@@ -20,9 +25,13 @@ from congame import (
     UnknownState,
     adapt_step,
     run_adaptive,
+    solve,
     template_for,
     update_model,
 )
+from congame.adaptation import _check_step
+from congame.corpus import random_game
+from congame.strategies import _sample
 
 
 @pytest.fixture(scope="module")
@@ -243,3 +252,130 @@ class TestRunAdaptive:
         with pytest.raises(InputError, match=message):
             run_adaptive(cobuchi_game, t, RewardSpec({}), UniformRandom(),
                          horizon=5, seed=0, **params)
+
+
+def reference_run(g, t, reward, opponent, horizon, seed, start,
+                  eps_live=0.1, colive_base=0.25, alpha=1.0):
+    """An adaptive episode assembled from the public step functions: the
+    estimate and the move rebuilt by adapt_step, the counts copied by
+    update_model at every step."""
+    rng = random.Random(seed)
+    model = OpponentModel(alpha=alpha)
+    v = start
+    visits: dict[str, int] = {}
+    rows = []
+    cum = 0.0
+    violations = 0
+    for step in range(horizon):
+        n = visits.get(v, 0)
+        visits[v] = n + 1
+        d = adapt_step(g, t, v, n, model, reward, eps_live, colive_base)
+        if not _check_step(g, t, v, n, d, eps_live, colive_base):
+            violations += 1
+        a = _sample(rng, d)
+        b = opponent.pick(g, v, d, rng)
+        model = update_model(g, model, v, b)
+        w = g.succ(v, a, b)
+        r = reward.at(w)
+        cum += r
+        rows.append((step, v, a, b, r, cum))
+        v = w
+    return rows, cum, violations, model.counts
+
+
+def assert_matches_reference(g, t, reward, opponent, **kw):
+    try:
+        want = reference_run(g, t, reward, opponent, **kw)
+    except InputError as e:
+        with pytest.raises(InputError) as got:
+            run_adaptive(g, t, reward, opponent, **kw)
+        assert (type(got.value), str(got.value)) == (type(e), str(e))
+        return
+    run = run_adaptive(g, t, reward, opponent, **kw)
+    assert (run.rows, run.total_reward, run.violations, run.model.counts) == want
+
+
+@st.composite
+def adaptive_setups(draw):
+    """A random arena, a template of it, an opponent and the loop's parameters."""
+    g = random_game(random.Random(draw(st.integers(0, 2 ** 32))),
+                    n_states=draw(st.integers(1, 6)))
+    states = st.sampled_from(g.states)
+    kind = draw(st.sampled_from([*ObjectiveKind, "hand-built"]))
+    target = frozenset(draw(st.sets(states, min_size=1)))
+    objective = Objective(ObjectiveKind.BUCHI if kind == "hand-built" else kind, target)
+    t = template_for(g, objective)
+    if kind == "hand-built":
+        def subsets(v):
+            return st.frozensets(st.sampled_from(g.p1_actions(v)))
+        unsafe = {v: draw(subsets(v)) for v in g.states}
+        colive = {v: draw(subsets(v)) for v in g.states}
+        live = {v: tuple(draw(st.lists(subsets(v), max_size=3))) for v in g.states}
+        if draw(st.booleans()):
+            # a state the template leaves no move at
+            v = draw(states)
+            (unsafe if draw(st.booleans()) else colive)[v] = frozenset(g.p1_actions(v))
+        t = Template(t.winning, unsafe, live, t.partition, colive, "hand-built")
+    opponent = draw(st.sampled_from(["uniform", "fixed", "greedy"]))
+    if opponent == "uniform":
+        opp = UniformRandom()
+    elif opponent == "fixed":
+        table = {}
+        for v in draw(st.sets(states)):
+            acts = draw(st.lists(st.sampled_from(g.p2_actions(v)), min_size=1, unique=True))
+            table[v] = ActionDistribution.uniform(acts)
+        opp = FixedSchedule(table)
+    else:
+        opp = GreedyAdversary(solve(g, objective).ranks)
+    reward = RewardSpec({v: draw(st.floats(-3.0, 3.0)) for v in draw(st.sets(states))})
+    kw = dict(
+        horizon=draw(st.integers(0, 40)),
+        seed=draw(st.integers(0, 1000)),
+        start=draw(states),
+        eps_live=draw(st.floats(1e-6, 0.99)),
+        colive_base=draw(st.floats(1e-3, 4.0)),
+        # the extreme values underflow an estimated share, or all of them
+        alpha=draw(st.one_of(st.floats(0.01, 50.0), st.sampled_from([5e-324, 1e308]))),
+    )
+    return g, t, reward, opp, kw
+
+
+class TestLoopEqualsReference:
+    """run_adaptive keeps per-state plans and counts in place; it must play,
+    score, check and count exactly as the public step functions do."""
+
+    @given(adaptive_setups())
+    @settings(max_examples=300)
+    def test_random_games_and_templates(self, setup):
+        g, t, reward, opp, kw = setup
+        assert_matches_reference(g, t, reward, opp, **kw)
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-3, 1.0, 1e308])
+    def test_benchmark_inputs(self, cobuchi_game, cobuchi_objective, alpha):
+        t = template_for(cobuchi_game, cobuchi_objective)
+        opp = FixedSchedule({"S2": ActionDistribution.from_mapping(
+            {"d": 0.8, "e": 0.1, "f": 0.1})})
+        assert_matches_reference(cobuchi_game, t, RewardSpec({"S0": 1.0}), opp,
+                                 horizon=300, seed=3, start="S2", alpha=alpha)
+
+    def test_infeasible_state_raises_on_its_first_visit(self, chain_game):
+        # Q has no move, but only a run that reaches it fails
+        t = chain_template(unsafe={"Q": frozenset({"a"})})
+        stay = run_adaptive(chain_game, t, RewardSpec({}), UniformRandom(),
+                            horizon=20, seed=0, start="P")
+        assert {v for _, v, *_ in stay.rows} == {"P"}
+        with pytest.raises(Infeasible, match="cannot adapt at 'Q': every action is unsafe"):
+            run_adaptive(chain_game, t, RewardSpec({"Q": 1.0}), UniformRandom(),
+                         horizon=20, seed=0, start="P")
+
+    def test_unknown_opponent_action(self, cobuchi_game, cobuchi_objective):
+        class Bogus:
+            def pick(self, g, v, d1, rng):
+                return "zz"
+
+        t = template_for(cobuchi_game, cobuchi_objective)
+        assert_matches_reference(cobuchi_game, t, RewardSpec({}), Bogus(),
+                                 horizon=3, seed=0, start="S2")
+        with pytest.raises(UnknownAction, match="unknown player-2 action 'zz' at state 'S2'"):
+            run_adaptive(cobuchi_game, t, RewardSpec({}), Bogus(),
+                         horizon=3, seed=0, start="S2")

@@ -363,6 +363,42 @@ class TestConvertCli:
         code, _ = run(capsys, "convert", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("path, value, message", [
+        (["states"], 5, "turn-based states must be a list of JSON objects"),
+        (["states"], [["u", 1]], "turn-based states must be a list of JSON objects"),
+        (["transitions"], 5, "turn-based transitions must be a list of JSON objects"),
+        (["states", 0, "id"], ["u"], "malformed state entry: {'id': ['u'], 'owner': 1}"),
+        (["states", 0, "owner"], "1", "state 'u' has owner '1', expected 1 or 2"),
+        (["states", 0, "owner"], 1.5, "state 'u' has owner 1.5, expected 1 or 2"),
+        (["states", 0, "owner"], True, "state 'u' has owner True, expected 1 or 2"),
+        (["transitions", 0, "label"], ["a"],
+         "malformed transition entry: {'from': 'u', 'label': ['a'], 'to': 'v'}"),
+        (["transitions", 0, "to"], 7,
+         "malformed transition entry: {'from': 'u', 'label': 'a', 'to': 7}"),
+        (["winning", "items"], {}, "winning transitions must be a list of JSON objects"),
+        (["winning", "items", 0, "from"], ["v"],
+         "malformed winning transition: {'from': ['v'], 'label': 'b', 'to': 'w'}"),
+        (["winning"], {"kind": "states", "items": "uw"}, "winning states must be a list of strings"),
+        (["winning"], {"kind": "states", "items": [["u"]]}, "winning states must be a list of strings"),
+        (["objective_kind"], ["buchi"], "unknown objective kind ['buchi']"),
+    ], ids=["states-number", "states-list-rows", "transitions-number", "id-list",
+            "owner-string", "owner-float", "owner-bool", "label-list", "target-number",
+            "winning-items-object", "winning-from-list", "winning-states-string",
+            "winning-states-nested", "objective-kind-list"])
+    def test_malformed_turn_based_exits_2(self, capsys, tmp_path, path, value, message):
+        raw = json.loads((GAMES / "tb_handshake.json").read_text(encoding="utf-8"))
+        *parents, key = path
+        node = raw
+        for step in parents:
+            node = node[step]
+        node[key] = value
+        tb = tmp_path / "tb.json"
+        tb.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["convert", str(tb)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestSharedParser:
     """`main` reuses one parser per process; no parse may leak into the next."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,7 @@ from congame import (
     validate_strategy,
     verify_memoryless,
 )
-from congame.strategies import _sccs
+from congame.strategies import _sample, _sccs
 
 from .conftest import GAMES, games_with_objective
 from .oracles import oracle_sccs
@@ -395,20 +396,17 @@ class TestOpponents:
             FixedSchedule.from_dict({"S2": {"d": 0.5}}, cobuchi_game)
 
     def test_fixed_schedule_fallback(self, cobuchi_game):
-        import random
         opp = FixedSchedule({})
         d1 = ActionDistribution.point("a")
         assert opp.pick(cobuchi_game, "S2", d1, random.Random(0)) == "d"
 
     def test_fixed_schedule_validates_actions(self, cobuchi_game):
-        import random
         opp = FixedSchedule({"S2": ActionDistribution.point("z")})
         with pytest.raises(UnknownAction):
             opp.pick(cobuchi_game, "S2", ActionDistribution.point("a"),
                      random.Random(0))
 
     def test_greedy_prefers_high_rank_successor(self, cobuchi_game, cobuchi_objective):
-        import random
         ranks = solve(cobuchi_game, cobuchi_objective).ranks
         adv = GreedyAdversary(ranks)
         d1 = ActionDistribution.point("a")
@@ -416,11 +414,56 @@ class TestOpponents:
         assert adv.pick(cobuchi_game, "S2", d1, random.Random(0)) == "e"
 
     def test_greedy_breaks_ties_lexicographically(self, buchi_game, buchi_objective):
-        import random
         ranks = solve(buchi_game, buchi_objective).ranks
         adv = GreedyAdversary(ranks)
         d1 = ActionDistribution.point("b")
         assert adv.pick(buchi_game, "A", d1, random.Random(0)) == "a"
+
+
+def reference_steps(g, s, opponent, horizon, seed, start):
+    """One simulated episode that asks the strategy at every visit."""
+    rng = random.Random(seed)
+    v = start
+    visits: dict[str, int] = {}
+    steps = []
+    for _ in range(horizon):
+        n = visits.get(v, 0)
+        visits[v] = n + 1
+        d1 = s.distribution(v, n)
+        a = _sample(rng, d1)
+        b = opponent.pick(g, v, d1, rng)
+        w = g.succ(v, a, b)
+        steps.append((v, a, b, w))
+        v = w
+    return steps
+
+
+@st.composite
+def simulation_setups(draw):
+    """A random arena with an extracted or hand-built schedule strategy (its
+    geometric rows may decay to no positive weight), an opponent, a
+    horizon, a seed and a start state."""
+    g, obj = draw(games_with_objective(max_states=6))
+    if draw(st.booleans()):
+        # cobuchi templates give their colive actions geometric rows
+        t = template_for(g, obj)
+        s = extract_strategy(g, t, colive_base=draw(st.sampled_from([0.25, 2.0])))
+    else:
+        schedules = {}
+        for v in g.states:
+            acts = draw(st.lists(st.sampled_from(g.p1_actions(v)), min_size=1, unique=True))
+            schedules[v] = {a: draw(st.one_of(
+                st.builds(Constant, st.floats(0.1, 2.0)),
+                st.builds(Geometric, st.floats(0.1, 2.0), st.sampled_from([0.5, 0.9, 1e-200]))))
+                for a in acts}
+        s = ScheduleStrategy(schedules)
+    opp = draw(st.sampled_from([
+        UniformRandom(),
+        FixedSchedule({g.states[0]: ActionDistribution.point(g.p2_actions(g.states[0])[-1])}),
+        GreedyAdversary(solve(g, obj).ranks),
+    ]))
+    return (g, s, opp, draw(st.integers(0, 60)), draw(st.integers(0, 1000)),
+            draw(st.sampled_from(g.states)))
 
 
 class TestSimulation:
@@ -492,3 +535,29 @@ class TestSimulation:
         with pytest.raises(InputError):
             simulate(buchi_game, s, UniformRandom(),
                      horizon=-1, episodes=1, seed=0)
+
+    @given(simulation_setups())
+    @settings(max_examples=150)
+    def test_equals_per_visit_reference(self, setup):
+        # simulate keeps the distribution of all-constant rows; the
+        # reference asks the strategy at every visit
+        g, s, opp, horizon, seed, start = setup
+        try:
+            want = [reference_steps(g, s, opp, horizon, seed + i, start) for i in range(2)]
+        except InputError as e:
+            with pytest.raises(InputError) as got:
+                simulate(g, s, opp, horizon=horizon, episodes=2, seed=seed, start=start)
+            assert (type(got.value), str(got.value)) == (type(e), str(e))
+            return
+        logs = simulate(g, s, opp, horizon=horizon, episodes=2, seed=seed, start=start)
+        assert [log.steps for log in logs] == want
+
+    def test_row_without_positive_weight_raises_on_first_visit(self, buchi_game):
+        t = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
+        table = dict(extract_strategy(buchi_game, t).schedules)
+        table["A"] = {a: Constant(0.0) for a in table["A"]}
+        s = ScheduleStrategy(table)
+        (log,) = simulate(buchi_game, s, UniformRandom(), horizon=0, episodes=1, seed=0)
+        assert log.steps == []
+        with pytest.raises(InputError, match="strategy has no positive weight at 'A'"):
+            simulate(buchi_game, s, UniformRandom(), horizon=1, episodes=1, seed=0)
