@@ -87,24 +87,16 @@ def update_model(g: GameGraph, m: OpponentModel, v: str, b: str) -> OpponentMode
 
 
 class _Plan:
-    """What adaptation reads at one state during one episode.
+    """What the greedy step reads at one state, for one episode.
 
-    Built on the state's first visit, so a state the template leaves no
-    move at raises :class:`Infeasible` on the step that reaches it, and a
-    state never visited never raises.
-
-    * floor  -- the mass each live group keeps;
-    * checks -- unsafe set, colive set, floor and the live groups with a
-      persistent member: what :func:`_check_step` holds a move to;
-    * pools  -- per such group, its persistent members (the floor goes to
-      the best of them);
-    * allowed, rest -- the non-unsafe and the persistent actions;
-    * p2, counts -- the opponent's actions and how often each was seen
-      here;
-    * rows   -- per allowed action, its reward against each opponent action;
-    * succ   -- (successor, its reward) by (P1 action, P2 action).
-
-    Action tuples are sorted, so ties keep breaking lexicographically.
+    Built on the state's first visit, so a state where the template leaves
+    no move raises :class:`Infeasible` on the step that reaches it, and an
+    unvisited state never raises.  Action tuples are sorted, so ties still
+    break lexicographically.  ``checks`` is what :func:`_check_step` holds
+    a move to; ``pools`` are the persistent members of each live group that
+    has one; ``counts`` are the opponent's, per action of ``p2``; ``rows``
+    give each allowed action's reward against each action of ``p2``;
+    ``succ`` maps (P1, P2) actions to (successor, its reward).
     """
 
     __slots__ = ("state", "floor", "checks", "pools", "colive", "allowed", "rest",
@@ -231,7 +223,8 @@ def _check_step(
 
 
 def _complies(checks: tuple, d: ActionDistribution, visit: int, colive_base: float) -> bool:
-    """Whether `d` keeps to the plan's ``checks`` on the `visit`-th visit."""
+    """Whether `d` keeps to ``checks`` (unsafe set, colive set, live floor,
+    live groups with a persistent member) on the `visit`-th visit."""
     unsafe, colive, floor, groups = checks
     if d.mass(unsafe) > 0.0:
         return False
