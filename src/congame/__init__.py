@@ -44,13 +44,11 @@ from .model import (
     NonConvergence,
     Objective,
     ObjectiveKind,
-    PlayPrefix,
     UnknownAction,
     UnknownState,
     dump_json,
     game_to_dict,
     load_game,
-    one_round_prob,
     parse_objective,
     validate_game,
 )
@@ -82,7 +80,6 @@ from .templates import (
     canonical_groups,
     check_conflict_free,
     check_weight_params,
-    min_prob,
     template_for,
     template_from_dict,
     validate_template,
@@ -104,9 +101,9 @@ __all__ = [
     # model
     "ActionDistribution", "CongameError", "DuplicateTransition",
     "EmptyActionSet", "GameGraph", "InputError", "MissingTransition",
-    "NonConvergence", "Objective", "ObjectiveKind", "PlayPrefix",
-    "UnknownAction", "UnknownState", "dump_json", "game_to_dict", "load_game",
-    "one_round_prob", "parse_objective", "validate_game",
+    "NonConvergence", "Objective", "ObjectiveKind", "UnknownAction",
+    "UnknownState", "dump_json", "game_to_dict", "load_game",
+    "parse_objective", "validate_game",
     # operators
     "a_set", "afpre1", "afpre_action_fixpoint", "apre1", "b_set", "pre1",
     # solvers
@@ -120,6 +117,6 @@ __all__ = [
     "validate_strategy", "verify_memoryless",
     # templates
     "Conflict", "ConflictReport", "Template", "canonical_groups",
-    "check_conflict_free", "check_weight_params", "min_prob", "template_for",
+    "check_conflict_free", "check_weight_params", "template_for",
     "template_from_dict", "validate_template",
 ]

@@ -26,6 +26,7 @@ import json
 import os
 import sys
 from itertools import chain
+from operator import itemgetter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -103,16 +104,16 @@ class GameGraph:
     """Immutable concurrent game arena with deterministic joint transitions.
 
     Construct via :func:`validate_game` (raw mapping) or directly from
-    canonical pieces; both enforce totality of the transition function.
+    canonical pieces; both fill the successor table in one pass
+    (:meth:`_fill`) and enforce totality of the transition function.
 
-    Construction also builds the successor index the operators run on, in
-    the same pass that fills the transition table:
-
-    * per state and P1 action, the mask of its successor states and a tuple
-      of ``(successor bit, mask of the P2 actions leading there)`` pairs;
-    * per state, the mask of its predecessor states (states with some joint
-      action leading to it), which the solvers use to find what a changed
-      iterate can affect.
+    The operators run on an index that extraction, compliance checking and
+    verification never read, so it is built on first use: the views below
+    read its slots inside a ``try``, which costs nothing until a slot turns
+    out empty.  Per state and P1 action it holds the mask of the successor
+    states and ``(successor bit, mask of the P2 actions leading there)``
+    pairs; per state, the mask of its predecessors, which the solvers use to
+    find what a changed iterate can affect.
     """
 
     __slots__ = (
@@ -127,6 +128,19 @@ class GameGraph:
         p2_actions: Mapping[str, Iterable[str]],
         delta: Mapping[tuple[str, str, str], str],
     ):
+        if not self._fill(states, p1_actions, p2_actions, delta.items(), len(delta)):
+            # invalid entries are reported before missing ones
+            self._check_delta(delta)
+            raise MissingTransition(*next(
+                (v, a, self._p2[vi][bi])
+                for vi, v in enumerate(self.states)
+                for a, row in zip(self._p1[vi], self._succ[vi])
+                for bi, wi in enumerate(row) if wi < 0))
+
+    def _fill(self, states, p1_actions, p2_actions, moves: Iterable, n_moves: int) -> bool:
+        """Set up the states and actions, then fill the successor table from
+        `moves`, ``((state, p1, p2), successor)`` pairs.  False when a move is
+        malformed or unknown, or the moves miss or repeat a slot."""
         listed = list(states)
         self.states: tuple[str, ...] = tuple(sorted(listed))
         if not self.states:
@@ -134,10 +148,9 @@ class GameGraph:
         if len(set(self.states)) != len(self.states):
             dup = sorted(s for s in set(listed) if listed.count(s) > 1)
             raise InputError(f"duplicate state names: {dup}")
-        self._index: dict[str, int] = {s: i for i, s in enumerate(self.states)}
+        self._index = index = {s: i for i, s in enumerate(self.states)}
 
-        self._p1: list[tuple[str, ...]] = []
-        self._p2: list[tuple[str, ...]] = []
+        self._p1, self._p2 = [], []
         for v in self.states:
             for player, table in ((1, p1_actions), (2, p2_actions)):
                 acts = tuple(sorted(table.get(v, ())))
@@ -148,36 +161,32 @@ class GameGraph:
                 (self._p1 if player == 1 else self._p2).append(acts)
         for table, player in ((p1_actions, 1), (p2_actions, 2)):
             for v in table:
-                if v not in self._index:
+                if v not in index:
                     raise UnknownState(v)
-        self._p1_index: list[dict[str, int]] = [
-            {a: i for i, a in enumerate(acts)} for acts in self._p1]
-        self._p2_index: list[dict[str, int]] = [
-            {b: i for i, b in enumerate(acts)} for acts in self._p2]
+        self._p1_index = p1_index = [{a: i for i, a in enumerate(acts)} for acts in self._p1]
+        self._p2_index = p2_index = [{b: i for i, b in enumerate(acts)} for acts in self._p2]
 
-        # delta must be total over declared action sets; a lookup that
-        # fails sends the whole table through _check_delta first, so invalid
-        # entries are reported before missing ones
-        index = self._index
-        self._succ: list[list[list[int]]] = []
-        self._row_masks: list[tuple[int, ...]] = []
-        self._row_pairs: list[tuple[tuple[tuple[int, int], ...], ...]] = []
+        # per state and P1 action, the successor index per P2 action; -1
+        # marks a slot no move has filled
+        self._succ = succ = [[[-1] * len(p2) for _ in p1] for p1, p2 in zip(self._p1, self._p2)]
+        try:
+            for (v, a, b), w in moves:
+                vi = index[v]
+                succ[vi][p1_index[vi][a]][p2_index[vi][b]] = index[w]
+        except (KeyError, TypeError):
+            return False
+        # with as many moves as slots, a duplicate leaves a slot unfilled
+        joint = sum(len(p1) * len(p2) for p1, p2 in zip(self._p1, self._p2))
+        return n_moves == joint and not any(-1 in row for rows in succ for row in rows)
+
+    def _build_index(self) -> GameGraph:
+        """Fill the operator index from the successor table; returns self."""
+        self._row_masks, self._row_pairs = [], []
         pred = [0] * len(self.states)
-        joint = 0
-        for vi, v in enumerate(self.states):
-            p2 = self._p2[vi]
-            rows: list[list[int]] = []
-            masks: list[int] = []
-            pairs: list[tuple[tuple[int, int], ...]] = []
+        for vi, rows in enumerate(self._succ):
+            masks, pairs = [], []
             succ_all = 0
-            for a in self._p1[vi]:
-                try:
-                    row = [index[delta[(v, a, b)]] for b in p2]
-                except (KeyError, TypeError):
-                    self._check_delta(delta)
-                    b = next(b for b in p2 if (v, a, b) not in delta)
-                    raise MissingTransition(v, a, b) from None
-                rows.append(row)
+            for row in rows:
                 # P2 actions per successor bit, in first-reached order
                 by_succ: dict[int, int] = {}
                 m = 0
@@ -190,8 +199,6 @@ class GameGraph:
                 masks.append(m)
                 pairs.append(tuple(by_succ.items()))
                 succ_all |= m
-            joint += len(rows) * len(p2)
-            self._succ.append(rows)
             self._row_masks.append(tuple(masks))
             self._row_pairs.append(tuple(pairs))
             v_bit = 1 << vi
@@ -199,25 +206,18 @@ class GameGraph:
                 low = succ_all & -succ_all
                 pred[low.bit_length() - 1] |= v_bit
                 succ_all ^= low
-        if len(delta) != joint:
-            # every declared joint action was found, so the extra entries
-            # name undeclared states or actions
-            self._check_delta(delta)
-        self._pred: tuple[int, ...] = tuple(pred)
+        self._pred = tuple(pred)
+        return self
 
     def _check_delta(self, delta: Mapping[tuple[str, str, str], str]) -> None:
         """Raise for the first entry naming an unknown state or action."""
-        index = self._index
         for (v, a, b), w in delta.items():
-            if v not in index:
-                raise UnknownState(v)
-            vi = index[v]
+            vi = self.index(v)
             if a not in self._p1_index[vi]:
                 raise UnknownAction(v, a, player=1)
             if b not in self._p2_index[vi]:
                 raise UnknownAction(v, b, player=2)
-            if w not in index:
-                raise UnknownState(w)
+            self.index(w)
 
     # -- basic accessors -------------------------------------------------
 
@@ -276,17 +276,26 @@ class GameGraph:
 
     def succ_masks(self, vi: int) -> tuple[int, ...]:
         """Per P1 action at state `vi`, the mask of its successor states."""
-        return self._row_masks[vi]
+        try:
+            return self._row_masks[vi]
+        except AttributeError:  # an empty slot: the index is not built yet
+            return self._build_index()._row_masks[vi]
 
     def succ_pairs(self, vi: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per P1 action at state `vi`, ``(successor bit, P2 action mask)``
         pairs: the P2 actions in the mask lead to that successor."""
-        return self._row_pairs[vi]
+        try:
+            return self._row_pairs[vi]
+        except AttributeError:
+            return self._build_index()._row_pairs[vi]
 
     def pred_mask(self, m: int) -> int:
         """States with some joint action leading into the state mask `m`."""
         out = 0
-        pred = self._pred
+        try:
+            pred = self._pred
+        except AttributeError:
+            pred = self._build_index()._pred
         while m:
             low = m & -m
             out |= pred[low.bit_length() - 1]
@@ -346,63 +355,11 @@ class ActionDistribution:
         return 0.0
 
     def mass(self, actions: Iterable[str]) -> float:
-        wanted = set(actions)
+        wanted = actions if isinstance(actions, (set, frozenset)) else set(actions)
         return sum(p for a, p in self.probs if a in wanted)
 
     def to_dict(self) -> dict[str, float]:
         return dict(self.probs)
-
-
-@dataclass(frozen=True)
-class PlayPrefix:
-    """A finite play: alternating (state, p1 action, p2 action) steps.
-
-    `final` is the state reached after the last joint move.
-    """
-
-    steps: tuple[tuple[str, str, str], ...]
-    final: str
-
-    def validate(self, g: GameGraph) -> None:
-        cur: Union[str, None] = None
-        for v, a, b in self.steps:
-            if cur is not None and v != cur:
-                raise InputError(f"play prefix jumps from {cur!r} to {v!r}")
-            cur = g.succ(v, a, b)
-        if cur is not None and cur != self.final:
-            raise InputError(f"play prefix ends at {cur!r}, declared {self.final!r}")
-        if cur is None and self.final not in g:
-            raise UnknownState(self.final)
-
-    @property
-    def visited(self) -> tuple[str, ...]:
-        return tuple(v for v, _, _ in self.steps) + (self.final,)
-
-
-def one_round_prob(
-    g: GameGraph,
-    v: str,
-    d1: ActionDistribution,
-    d2: ActionDistribution,
-    into: Iterable[str],
-) -> float:
-    """Probability that one simultaneous round from `v` lands inside `into`."""
-    for a in d1.support:
-        if a not in g.p1_actions(v):
-            raise UnknownAction(v, a, player=1)
-    for b in d2.support:
-        if b not in g.p2_actions(v):
-            raise UnknownAction(v, b, player=2)
-    target = set(into)
-    for w in target:
-        if w not in g:
-            raise UnknownState(w)
-    total = 0.0
-    for a, pa in d1.probs:
-        for b, pb in d2.probs:
-            if g.succ(v, a, b) in target:
-                total += pa * pb
-    return total
 
 
 # -- serialization ---------------------------------------------------------
@@ -451,8 +408,18 @@ def validate_game(raw: Mapping) -> GameGraph:
             raise InputError(f"{key} must map states to lists of strings")
     if not isinstance(raw["transitions"], list):
         raise InputError("transitions must be a list")
+    transitions = raw["transitions"]
+    g = GameGraph.__new__(GameGraph)
+    moves = zip(map(itemgetter("from", "p1", "p2"), transitions),
+                map(itemgetter("to"), transitions))
+    try:
+        if g._fill(states, raw["p1_actions"], raw["p2_actions"], moves, len(transitions)):
+            return g
+    except InputError:
+        pass
+    # some fault in the arena: the checks below name the first one
     delta: dict[tuple[str, str, str], str] = {}
-    for t in raw["transitions"]:
+    for t in transitions:
         try:
             key = (t["from"], t["p1"], t["p2"])
             dst = t["to"]
@@ -485,11 +452,10 @@ def parse_objective(raw: Mapping, g: GameGraph) -> Objective:
 
 
 def game_to_dict(g: GameGraph, objective: Union[Objective, None] = None) -> dict:
-    transitions = []
-    for v in g.states:
-        for a in g.p1_actions(v):
-            for b in g.p2_actions(v):
-                transitions.append({"from": v, "p1": a, "p2": b, "to": g.succ(v, a, b)})
+    transitions = [
+        {"from": v, "p1": a, "p2": b, "to": g.states[wi]}
+        for v, p1, p2, rows in zip(g.states, g._p1, g._p2, g._succ)
+        for a, row in zip(p1, rows) for b, wi in zip(p2, row)]
     out: dict = {
         "states": list(g.states),
         "p1_actions": {v: list(g.p1_actions(v)) for v in g.states},
@@ -518,9 +484,47 @@ def load_game(path: str) -> tuple[GameGraph, Union[Objective, None]]:
     return g, obj
 
 
+_quote = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _encode(o, nl: str) -> str:
+    """``json.dumps(o, indent=2, sort_keys=True)`` for JSON data, `nl` being the
+    newline and indent of the enclosing level; lists of strings are joined at
+    C level.  Other types and non-string keys raise TypeError."""
+    t = type(o)
+    if t is str:
+        return _quote(o)
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        items = map(_quote, o) if _all_of(str, o) else [_encode(x, inner) for x in o]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        return ("{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _encode(o[k], inner) for k in sorted(o)]) + nl + "}")
+    if t is int:
+        return int.__repr__(o)
+    if t is float:
+        text = float.__repr__(o)
+        return _NON_FINITE.get(text, text)
+    if o is None or t is bool:
+        return _CONSTANTS[o]
+    raise TypeError(f"not encoded here: {t.__name__}")
+
+
 def dump_json(data, path: Union[str, None]) -> str:
-    """Serialize deterministically; write to `path` unless None. Returns text."""
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """Serialize deterministically; write to `path` unless None. Returns the
+    text, always ``json.dumps(data, indent=2, sort_keys=True) + "\\n"``."""
+    try:
+        text = _encode(data, "\n") + "\n"
+    except (TypeError, RecursionError):
+        text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -66,10 +66,14 @@ class RankDecomposition:
         raise KeyError(state)
 
     def to_dict(self) -> dict:
+        # each state's first rank, in one pass over the chain
+        first: dict[str, int] = {}
+        for i, x in enumerate(self.ranks):
+            first.update(dict.fromkeys(x.difference(first), i))
         return {
             "winning": sorted(self.winning),
             "ranks": [sorted(x) for x in self.ranks],
-            "rank_of": {v: self.rank_of(v) for v in sorted(self.winning)},
+            "rank_of": {v: first[v] for v in sorted(self.winning)},
         }
 
 

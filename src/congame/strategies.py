@@ -496,6 +496,8 @@ class FixedSchedule:
     """
 
     table: Mapping[str, ActionDistribution] = field(default_factory=dict)
+    # (game, state) pairs whose row has been checked against the game
+    _checked: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_dict(raw: Mapping, g: Optional[GameGraph] = None) -> "FixedSchedule":
@@ -512,9 +514,11 @@ class FixedSchedule:
         d = self.table.get(v)
         if d is None:
             return g.p2_actions(v)[0]
-        for b in d.support:
-            if b not in g.p2_actions(v):
-                raise UnknownAction(v, b, player=2)
+        if (g, v) not in self._checked:
+            for b in d.support:
+                if b not in g.p2_actions(v):
+                    raise UnknownAction(v, b, player=2)
+            self._checked.add((g, v))
         return _sample(rng, d)
 
 

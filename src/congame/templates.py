@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
-    ActionDistribution,
     GameGraph,
     InputError,
     Objective,
@@ -166,15 +165,6 @@ def check_weight_params(eps_live: float, colive_base: float) -> None:
         raise InputError("eps_live must lie in (0, 1)")
     if not 0.0 < colive_base < math.inf:
         raise InputError("colive_base must be positive and finite")
-
-
-def min_prob(d: ActionDistribution, groups: Iterable[Iterable[str]]) -> float:
-    """Smallest probability mass `d` puts on any of the groups.
-
-    An empty group contributes 0; an empty collection of groups poses no
-    constraint and yields 1.
-    """
-    return min((d.mass(h) for h in groups), default=1.0)
 
 
 def _leaving_actions(g: GameGraph, states: frozenset[str]) -> dict[str, frozenset[str]]:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given
@@ -16,17 +18,17 @@ from congame import (
     InputError,
     MissingTransition,
     ObjectiveKind,
-    PlayPrefix,
     UnknownAction,
     UnknownState,
     dump_json,
     game_to_dict,
     load_game,
-    one_round_prob,
     parse_objective,
     validate_game,
 )
+from congame import cli
 from congame.model import worker_count
+from congame.strategies import FixedSchedule
 
 from .conftest import GAMES, game_graphs
 
@@ -208,56 +210,13 @@ class TestDistribution:
         assert d.mass(["a", "c"]) == pytest.approx(0.75)
         assert d.mass([]) == 0.0
 
-
-class TestPlayPrefix:
-    def test_valid(self):
-        g = validate_game(tiny_raw())
-        p = PlayPrefix(steps=(("A", "b", "d"), ("B", "a", "e")), final="A")
-        p.validate(g)
-        assert p.visited == ("A", "B", "A")
-
-    def test_broken_chain(self):
-        g = validate_game(tiny_raw())
-        p = PlayPrefix(steps=(("A", "a", "d"), ("B", "a", "d")), final="B")
-        with pytest.raises(InputError):
-            p.validate(g)
-
-    def test_wrong_final(self):
-        g = validate_game(tiny_raw())
-        p = PlayPrefix(steps=(("A", "b", "d"),), final="A")
-        with pytest.raises(InputError):
-            p.validate(g)
-
-    def test_empty_prefix_checks_state(self):
-        g = validate_game(tiny_raw())
-        PlayPrefix(steps=(), final="A").validate(g)
-        with pytest.raises(UnknownState):
-            PlayPrefix(steps=(), final="Z").validate(g)
-
-
-class TestOneRoundProb:
-    def test_example(self, buchi_game):
-        d1 = ActionDistribution.uniform(buchi_game.p1_actions("A"))
-        d2 = ActionDistribution.uniform(buchi_game.p2_actions("A"))
-        assert one_round_prob(buchi_game, "A", d1, d2, ["C"]) == pytest.approx(0.5)
-
-    def test_unknown_action_rejected(self, buchi_game):
-        d1 = ActionDistribution.point("z")
-        d2 = ActionDistribution.uniform(buchi_game.p2_actions("A"))
-        with pytest.raises(UnknownAction):
-            one_round_prob(buchi_game, "A", d1, d2, ["C"])
-
-    @given(game_graphs())
-    def test_complement_sums_to_one(self, g: GameGraph):
-        v = g.states[0]
-        d1 = ActionDistribution.uniform(g.p1_actions(v))
-        d2 = ActionDistribution.uniform(g.p2_actions(v))
-        inside = frozenset(g.states[: g.n_states // 2])
-        outside = frozenset(g.states) - inside
-        p = one_round_prob(g, v, d1, d2, inside)
-        q = one_round_prob(g, v, d1, d2, outside)
-        assert p + q == pytest.approx(1.0)
-        assert -1e-9 <= p <= 1.0 + 1e-9
+    def test_mass_of_a_set_is_the_mass_of_its_items(self):
+        d = ActionDistribution.from_mapping({"a": 0.1, "b": 0.2, "c": 0.7})
+        for group in ({"a", "c"}, frozenset({"b", "c", "z"}), set()):
+            assert d.mass(group) == d.mass(sorted(group))
+        group = {"a"}
+        d.mass(group)
+        assert group == {"a"}
 
 
 class TestSerialization:
@@ -305,6 +264,192 @@ class TestSerialization:
     def test_game_to_dict_includes_objective(self, buchi_game, buchi_objective):
         raw = game_to_dict(buchi_game, buchi_objective)
         assert raw["objective"] == {"kind": "buchi", "target": ["C"]}
+
+
+def _checked_reference(raw) -> GameGraph:
+    """The transition checks in the order that names the first fault, then
+    the arena from the checked table: the path every faulty input takes."""
+    delta = {}
+    for t in raw["transitions"]:
+        try:
+            key = (t["from"], t["p1"], t["p2"])
+            dst = t["to"]
+            seen = key in delta
+        except (TypeError, KeyError):
+            raise InputError(f"malformed transition entry: {t!r}") from None
+        if seen:
+            raise DuplicateTransition(*key)
+        delta[key] = dst
+    if not all(type(w) is str for w in delta.values()):
+        raise InputError("transition targets must be strings")
+    return GameGraph(raw["states"], raw["p1_actions"], raw["p2_actions"], delta)
+
+
+def _outcome(build, raw):
+    try:
+        return build(raw)
+    except InputError as e:
+        return type(e), str(e)
+
+
+def _same_arena(h: GameGraph, g: GameGraph) -> None:
+    assert h.states == g.states
+    for vi, v in enumerate(g.states):
+        assert h.p1_actions(v) == g.p1_actions(v)
+        assert h.p2_actions(v) == g.p2_actions(v)
+        for a in g.p1_actions(v):
+            for b in g.p2_actions(v):
+                assert h.succ(v, a, b) == g.succ(v, a, b)
+        assert h.succ_masks(vi) == g.succ_masks(vi)
+        assert h.succ_pairs(vi) == g.succ_pairs(vi)
+        assert h.pred_mask(1 << vi) == g.pred_mask(1 << vi)
+
+
+# one fault in a transition list: dropped, duplicated, moved onto another
+# entry's slot (as many entries as slots, one repeated and one missing),
+# renamed to an unknown state or action, made a non-string, lost a field, or
+# not an object at all
+MUTATIONS = ("drop", "duplicate", "collide", "unknown", "non_string", "no_field",
+             "not_object")
+FIELDS = ("from", "p1", "p2", "to")
+
+
+@st.composite
+def mutated_games(draw):
+    g = draw(game_graphs())
+    raw = game_to_dict(g)
+    raw["transitions"] = draw(st.permutations(raw["transitions"]))
+    ts = raw["transitions"] = [dict(t) for t in raw["transitions"]]
+    i = draw(st.integers(0, len(ts) - 1))
+    kind = draw(st.sampled_from(MUTATIONS))
+    field = draw(st.sampled_from(FIELDS))
+    if kind == "drop":
+        del ts[i]
+    elif kind == "duplicate":
+        copy = dict(ts[i], to=draw(st.sampled_from(g.states)))
+        ts.insert(draw(st.integers(0, len(ts))), copy)
+    elif kind == "collide":
+        j = draw(st.integers(0, len(ts) - 1))
+        ts[i] = dict(ts[j], to=ts[i]["to"])
+    elif kind == "unknown":
+        ts[i][field] = draw(st.sampled_from(["zz", "q9", "a", "d", "q0"]))
+    elif kind == "non_string":
+        ts[i][field] = draw(st.sampled_from([1, None, True, 2.5, ["q0"], {"a": 1}]))
+    elif kind == "no_field":
+        del ts[i][field]
+    else:
+        ts[i] = draw(st.sampled_from([None, 3, "q0", ["q0", "a", "d", "q1"]]))
+    return raw
+
+
+class TestOnePassArena:
+    """validate_game fills the successor table straight from the transition
+    list; any fault hands over to the checked path."""
+
+    @given(game_graphs(), st.randoms(use_true_random=False))
+    def test_equals_checked_arena(self, g: GameGraph, rnd):
+        raw = game_to_dict(g)
+        rnd.shuffle(raw["transitions"])
+        h = validate_game(raw)
+        _same_arena(h, _checked_reference(raw))
+        _same_arena(h, g)
+
+    @given(mutated_games())
+    def test_faults_are_named_as_by_the_checked_path(self, raw):
+        got, want = _outcome(validate_game, raw), _outcome(_checked_reference, raw)
+        if isinstance(want, GameGraph):
+            # a rename that happens to land on a free slot, or no fault
+            _same_arena(got, want)
+        else:
+            assert got == want
+
+    def test_operator_index_is_built_once_on_first_use(self, monkeypatch, tmp_path):
+        calls = []
+        build = GameGraph._build_index
+        monkeypatch.setattr(GameGraph, "_build_index",
+                            lambda g: (calls.append(g), build(g))[1])
+        game = str(GAMES / "cobuchi_stabilize.json")
+        p = {step: str(tmp_path / f"{step}.json")
+             for step in ("solve", "template", "extract", "check", "verify")}
+        for argv, built in [
+            (["solve", game, "-o", p["solve"]], 1),
+            (["template", game, "-o", p["template"]], 1),
+            (["extract", game, p["template"], "-o", p["extract"]], 0),
+            (["check", game, p["template"], p["extract"], "-o", p["check"]], 0),
+            (["verify", game, p["extract"], "-o", p["verify"]], 0),
+        ]:
+            calls.clear()
+            assert cli.main(argv) == 0
+            assert len(calls) == built, argv[0]
+
+
+def _json_strings():
+    escapes = st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600')
+    return st.text() | st.text(escapes | st.characters())
+
+
+def _json_values():
+    scalars = (st.none() | st.booleans() | st.integers()
+               | st.floats(allow_nan=True, allow_infinity=True) | _json_strings())
+    return st.recursive(
+        scalars | st.lists(_json_strings()),
+        lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                       | st.dictionaries(_json_strings(), inner)),
+        max_leaves=40)
+
+
+class TestDumpJson:
+    """dump_json writes exactly what json.dumps(indent=2, sort_keys=True) does."""
+
+    @given(_json_values())
+    def test_equals_json_dumps(self, data):
+        assert dump_json(data, None) == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("data", [
+        {1: "a", 2: ["b"]}, {"x": {3: 1.5, 1: [], 2.5: {}}}, {None: 1}, [math.nan, -math.inf],
+        ObjectiveKind.BUCHI, [ObjectiveKind.SAFETY], {"k": ("a", 1)}, {"s": True, "t": False},
+    ])
+    def test_other_shapes_go_through_json_dumps(self, data):
+        assert dump_json(data, None) == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("data", [{1: "a", "b": 2}, [object()], {"a": {1, 2}}])
+    def test_unencodable_data_raises_as_json_dumps(self, data):
+        with pytest.raises(TypeError) as want:
+            json.dumps(data, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            dump_json(data, None)
+        assert str(got.value) == str(want.value)
+
+    def test_circular_data_raises_as_json_dumps(self):
+        data: list = []
+        data.append(data)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            dump_json(data, None)
+
+
+class TestFixedScheduleRows:
+    def test_unknown_action_raised_at_each_pick(self):
+        g = validate_game(tiny_raw())
+        opp = FixedSchedule({"A": ActionDistribution.from_mapping({"d": 0.5, "z": 0.5}),
+                             "B": ActionDistribution.point("e")})
+        rng = random.Random(0)
+        for _ in range(3):
+            assert opp.pick(g, "B", ActionDistribution.point("a"), rng) == "e"
+        for _ in range(2):
+            with pytest.raises(UnknownAction) as e:
+                opp.pick(g, "A", ActionDistribution.point("a"), rng)
+            assert (e.value.state, e.value.action, e.value.player) == ("A", "z", 2)
+
+    def test_row_checked_against_each_game(self):
+        g = validate_game(tiny_raw())
+        raw = tiny_raw()
+        raw["p2_actions"]["B"] = ["d", "f"]
+        raw["transitions"][-1]["p2"] = "f"
+        h = validate_game(raw)
+        opp = FixedSchedule({"B": ActionDistribution.point("e")})
+        assert opp.pick(g, "B", ActionDistribution.point("a"), random.Random(0)) == "e"
+        with pytest.raises(UnknownAction):
+            opp.pick(h, "B", ActionDistribution.point("a"), random.Random(0))
 
 
 class TestWorkerCount:

@@ -28,7 +28,6 @@ from congame import (
     UnknownState,
     check_compliance,
     extract_strategy,
-    min_prob,
     simulate,
     solve,
     solve_buchi,
@@ -162,7 +161,7 @@ class TestExtraction:
                 continue
             need = 0.3 / len(t.groups_at(v))
             d = s.distribution(v, 0)
-            assert min_prob(d, groups) >= need - 1e-12
+            assert min(d.mass(h) for h in groups) >= need - 1e-12
 
     def test_colive_actions_get_geometric_schedules(self, cobuchi_game):
         t = Template(

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 
 from congame import (
-    ActionDistribution,
     InputError,
     Objective,
     ObjectiveKind,
@@ -18,7 +17,6 @@ from congame import (
     canonical_groups,
     check_conflict_free,
     check_weight_params,
-    min_prob,
     solve,
     template_for,
     template_from_dict,
@@ -105,12 +103,6 @@ class TestCanonical:
     def test_dedupe_and_order(self):
         groups = canonical_groups([["b", "a"], ["a", "b"], ["a"], []])
         assert groups == (frozenset(), frozenset({"a"}), frozenset({"a", "b"}))
-
-    def test_min_prob(self):
-        d = ActionDistribution.uniform(["a", "b", "x", "y"])
-        assert min_prob(d, [["a", "y"], ["b"], ["x"]]) == pytest.approx(0.25)
-        assert min_prob(d, [["a", "b"], []]) == 0.0
-        assert min_prob(d, []) == 1.0
 
 
 class TestReadingAtState:
