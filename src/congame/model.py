@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, product
 from operator import itemgetter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -117,7 +117,7 @@ class GameGraph:
     """
 
     __slots__ = (
-        "states", "_index", "_p1", "_p2", "_p1_index", "_p2_index", "_succ",
+        "states", "_index", "_p1", "_p2", "_p1_offset", "_p2_index", "_succ",
         "_row_masks", "_row_pairs", "_pred",
     )
 
@@ -132,10 +132,8 @@ class GameGraph:
             # invalid entries are reported before missing ones
             self._check_delta(delta)
             raise MissingTransition(*next(
-                (v, a, self._p2[vi][bi])
-                for vi, v in enumerate(self.states)
-                for a, row in zip(self._p1[vi], self._succ[vi])
-                for bi, wi in enumerate(row) if wi < 0))
+                (v, a, b) for v, p1, p2, row in zip(self.states, self._p1, self._p2, self._succ)
+                for (a, b), wi in zip(product(p1, p2), row) if wi < 0))
 
     def _fill(self, states, p1_actions, p2_actions, moves: Iterable, n_moves: int) -> bool:
         """Set up the states and actions, then fill the successor table from
@@ -150,48 +148,51 @@ class GameGraph:
             raise InputError(f"duplicate state names: {dup}")
         self._index = index = {s: i for i, s in enumerate(self.states)}
 
-        self._p1, self._p2 = [], []
-        for v in self.states:
-            for player, table in ((1, p1_actions), (2, p2_actions)):
-                acts = tuple(sorted(table.get(v, ())))
-                if not acts:
-                    raise EmptyActionSet(v, player)
-                if len(set(acts)) != len(acts):
-                    raise InputError(f"duplicate player-{player} actions at {v!r}")
-                (self._p1 if player == 1 else self._p2).append(acts)
-        for table, player in ((p1_actions, 1), (p2_actions, 2)):
-            for v in table:
-                if v not in index:
-                    raise UnknownState(v)
-        self._p1_index = p1_index = [{a: i for i, a in enumerate(acts)} for acts in self._p1]
-        self._p2_index = p2_index = [{b: i for i, b in enumerate(acts)} for acts in self._p2]
-
-        # per state and P1 action, the successor index per P2 action; -1
-        # marks a slot no move has filled
-        self._succ = succ = [[[-1] * len(p2) for _ in p1] for p1, p2 in zip(self._p1, self._p2)]
+        self._p1 = [tuple(sorted(p1_actions.get(v, ()))) for v in self.states]
+        self._p2 = [tuple(sorted(p2_actions.get(v, ()))) for v in self.states]
+        # a state's successors are one list, P1 action major, -1 where no move
+        # went; per distinct pair of action lists, a P1 action maps to the
+        # offset of its run and a P2 action to its place in the run
+        pairs = list(zip(self._p1, self._p2))
+        layout = {(p1, p2): ({a: i * len(p2) for i, a in enumerate(p1)},
+                             {b: i for i, b in enumerate(p2)}) for p1, p2 in set(pairs)}
+        if not all(p1 and p2 and len(o) == len(p1) and len(i) == len(p2)
+                   for (p1, p2), (o, i) in layout.items()):
+            for v, *lists in zip(self.states, self._p1, self._p2):
+                for player, acts in enumerate(lists, 1):
+                    if not acts:
+                        raise EmptyActionSet(v, player)
+                    if len(set(acts)) != len(acts):
+                        raise InputError(f"duplicate player-{player} actions at {v!r}")
+        for v in chain(p1_actions, p2_actions):
+            if v not in index:
+                raise UnknownState(v)
+        p1_offset, p2_index = self._p1_offset, self._p2_index = tuple(
+            zip(*map(layout.__getitem__, pairs)))
+        self._succ = succ = [[-1] * (len(p1) * len(p2)) for p1, p2 in pairs]
         try:
             for (v, a, b), w in moves:
                 vi = index[v]
-                succ[vi][p1_index[vi][a]][p2_index[vi][b]] = index[w]
+                succ[vi][p1_offset[vi][a] + p2_index[vi][b]] = index[w]
         except (KeyError, TypeError):
             return False
         # with as many moves as slots, a duplicate leaves a slot unfilled
-        joint = sum(len(p1) * len(p2) for p1, p2 in zip(self._p1, self._p2))
-        return n_moves == joint and not any(-1 in row for rows in succ for row in rows)
+        return n_moves == sum(map(len, succ)) and not any(-1 in row for row in succ)
 
     def _build_index(self) -> GameGraph:
         """Fill the operator index from the successor table; returns self."""
         self._row_masks, self._row_pairs = [], []
         pred = [0] * len(self.states)
-        for vi, rows in enumerate(self._succ):
+        for vi, row in enumerate(self._succ):
             masks, pairs = [], []
             succ_all = 0
-            for row in rows:
+            k = len(self._p2[vi])
+            for start in range(0, len(row), k):
                 # P2 actions per successor bit, in first-reached order
                 by_succ: dict[int, int] = {}
                 m = 0
                 b_bit = 1
-                for wi in row:
+                for wi in row[start:start + k]:
                     w_bit = 1 << wi
                     m |= w_bit
                     by_succ[w_bit] = by_succ.get(w_bit, 0) | b_bit
@@ -213,7 +214,7 @@ class GameGraph:
         """Raise for the first entry naming an unknown state or action."""
         for (v, a, b), w in delta.items():
             vi = self.index(v)
-            if a not in self._p1_index[vi]:
+            if a not in self._p1_offset[vi]:
                 raise UnknownAction(v, a, player=1)
             if b not in self._p2_index[vi]:
                 raise UnknownAction(v, b, player=2)
@@ -242,13 +243,13 @@ class GameGraph:
 
     def succ(self, state: str, p1: str, p2: str) -> str:
         vi = self.index(state)
-        ai = self._p1_index[vi].get(p1)
-        if ai is None:
+        offset = self._p1_offset[vi].get(p1)
+        if offset is None:
             raise UnknownAction(state, p1, player=1)
         bi = self._p2_index[vi].get(p2)
         if bi is None:
             raise UnknownAction(state, p2, player=2)
-        return self.states[self._succ[vi][ai][bi]]
+        return self.states[self._succ[vi][offset + bi]]
 
     # -- bitmask helpers (states) ----------------------------------------
 
@@ -454,8 +455,8 @@ def parse_objective(raw: Mapping, g: GameGraph) -> Objective:
 def game_to_dict(g: GameGraph, objective: Union[Objective, None] = None) -> dict:
     transitions = [
         {"from": v, "p1": a, "p2": b, "to": g.states[wi]}
-        for v, p1, p2, rows in zip(g.states, g._p1, g._p2, g._succ)
-        for a, row in zip(p1, rows) for b, wi in zip(p2, row)]
+        for v, p1, p2, row in zip(g.states, g._p1, g._p2, g._succ)
+        for (a, b), wi in zip(product(p1, p2), row)]
     out: dict = {
         "states": list(g.states),
         "p1_actions": {v: list(g.p1_actions(v)) for v in g.states},

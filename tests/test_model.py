@@ -100,6 +100,21 @@ class TestConstruction:
             validate_game(raw)
         assert e.value.player == 2
 
+    @pytest.mark.parametrize("key, player", [("p1_actions", 1), ("p2_actions", 2)])
+    def test_duplicate_actions(self, key, player):
+        raw = tiny_raw()
+        raw[key]["B"] = raw[key]["B"] + raw[key]["B"][:1]
+        with pytest.raises(InputError, match=f"^duplicate player-{player} actions at 'B'$"):
+            validate_game(raw)
+
+    def test_first_action_set_fault_in_state_order(self):
+        raw = tiny_raw()
+        raw["p1_actions"]["B"] = ["a", "a"]
+        raw["p2_actions"]["A"] = []
+        with pytest.raises(EmptyActionSet) as e:
+            validate_game(raw)
+        assert (e.value.state, e.value.player) == ("A", 2)
+
     def test_duplicate_states(self):
         raw = tiny_raw()
         raw["states"] = ["A", "B", "A"]
