@@ -251,6 +251,14 @@ class GameGraph:
             raise UnknownAction(state, p2, player=2)
         return self.states[self._succ[vi][offset + bi]]
 
+    def succ_row(self, state: str) -> tuple[Mapping[str, int], list[int]]:
+        """The successors of `state`, read from the successor table without
+        checking names again: per P1 action, the offset of its run in a row
+        of state indices; the run holds its successor against each P2 action,
+        in the order of :meth:`p2_actions`.  Both are shared: read only."""
+        vi = self.index(state)
+        return self._p1_offset[vi], self._succ[vi]
+
     # -- bitmask helpers (states) ----------------------------------------
 
     @property

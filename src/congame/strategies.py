@@ -87,12 +87,6 @@ class Geometric:
 Schedule = Union[Constant, Geometric]
 
 
-def _schedule_weight(sched: Schedule, n: int) -> float:
-    if isinstance(sched, Constant):
-        return sched.p
-    return sched.c * sched.r ** n
-
-
 @dataclass(frozen=True)
 class ScheduleStrategy:
     """Per-state action schedules; weights renormalized at every visit."""
@@ -103,7 +97,12 @@ class ScheduleStrategy:
         table = self.schedules.get(v)
         if not table:
             raise UnknownState(v)
-        weights = {a: _schedule_weight(s, visit) for a, s in table.items()}
+        # an all-geometric row is scaled by its largest ratio, so that its
+        # weights cannot all underflow (r / 1.0 is r exactly)
+        r_max = 1.0 if any(isinstance(s, Constant) for s in table.values()) \
+            else max(s.r for s in table.values())
+        weights = {a: s.p if isinstance(s, Constant) else s.c * (s.r / r_max) ** visit
+                   for a, s in table.items()}
         total = sum(weights.values())
         if total <= 0.0:
             raise InputError(f"strategy has no positive weight at {v!r}")
@@ -308,11 +307,10 @@ def _supports(g: GameGraph, dists: Mapping[str, ActionDistribution]) -> dict[str
     """Per state, the successor support of each opponent action."""
     out: dict[str, list[frozenset[str]]] = {}
     for v in g.states:
-        supp = dists[v].support
-        out[v] = [
-            frozenset(g.succ(v, a, b) for a in supp)
-            for b in g.p2_actions(v)
-        ]
+        offset, row = g.succ_row(v)
+        runs = [offset[a] for a in dists[v].support]
+        out[v] = [frozenset(g.states[row[i + j]] for i in runs)
+                  for j in range(len(g.p2_actions(v)))]
     return out
 
 
@@ -331,51 +329,6 @@ def _can_reach(states: Iterable[str], edges: Mapping[str, frozenset[str]], bad: 
                 reach.add(v)
                 stack.append(v)
     return frozenset(reach)
-
-
-def _sccs(nodes: frozenset[str], edges: Mapping[str, frozenset[str]]) -> list[frozenset[str]]:
-    """Strongly connected components of the graph restricted to `nodes`, by
-    iterative Tarjan (linear in nodes plus edges)."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    stack: list[str] = []
-    on_stack: set[str] = set()
-    out: list[frozenset[str]] = []
-    for root in sorted(nodes):
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(edges[root]))]
-        while work:
-            v, succs = work[-1]
-            for w in succs:
-                if w not in nodes:
-                    continue
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(edges[w])))
-                    break
-                if w in on_stack and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    out.append(frozenset(comp))
-    return out
 
 
 def _trim(nodes: frozenset[str], supports: Mapping[str, list[frozenset[str]]]) -> frozenset[str]:
@@ -412,39 +365,25 @@ def _trim(nodes: frozenset[str], supports: Mapping[str, list[frozenset[str]]]) -
     return frozenset(keep)
 
 
-def _max_end_components(
-    nodes: frozenset[str], supports: Mapping[str, list[frozenset[str]]],
-) -> list[frozenset[str]]:
-    """Maximal end components of the induced one-player chain.
-
-    An end component is a set closed under some nonempty choice of opponent
-    actions and strongly connected through them.  Each candidate set is
-    trimmed to the states that can stay inside it, then split into its
-    strongly connected components until every part is one component.
-    """
-    out: list[frozenset[str]] = []
-    work = [nodes]
-    while work:
-        t = _trim(work.pop(), supports)
-        if not t:
-            continue
-        edges = {v: frozenset().union(*(supp for supp in supports[v] if supp <= t))
-                 for v in t}
-        comps = _sccs(t, edges)
-        if len(comps) == 1:
-            out.append(t)
-        else:
-            work.extend(comps)
-    return sorted(out, key=sorted)
-
-
 def verify_memoryless(g: GameGraph, s: ScheduleStrategy, objective: Objective) -> frozenset[str]:
     """States from which the constant strategy `s` wins `objective` almost
     surely against every (even history-dependent) opponent.
 
-    Fixing P1's mixed action turns the game into a one-player chain for the
-    opponent; safety reduces to avoiding reachability of bad states and the
-    repetition objectives to end-component analysis of that chain.
+    Fixing P1's mixed action leaves the opponent a one-player chain, each of
+    its actions giving a successor support.  The answer is the complement of
+    the states that can reach `bad`, a set that holds every end component
+    (de Alfaro 1997) violating the objective and whose states each reach one:
+
+    * safety: the non-target states.
+    * buchi: `_trim` of the non-target states.  It holds every end component
+      outside the target, and an opponent keeping to the supports inside it
+      ends in a bottom component of its chain, which is such a component.
+    * cobuchi: the greatest X equal to `_trim(X)` cut down to the states that
+      reach X minus the target inside X, along supports that stay in X.  It
+      holds every end component with a non-target state; from X, an opponent
+      mixing uniformly over its staying actions ends in bottom components
+      that meet X minus the target.  Each round is linear and X only
+      shrinks, so at most |V| + 1 rounds run.
     """
     dists = _constant_distributions(g, s)
     supports = _supports(g, dists)
@@ -455,16 +394,17 @@ def verify_memoryless(g: GameGraph, s: ScheduleStrategy, objective: Objective) -
     if objective.kind is ObjectiveKind.SAFETY:
         bad = all_states - target
     elif objective.kind is ObjectiveKind.BUCHI:
-        avoid = all_states - target
-        sub = {v: [supp for supp in supports[v] if supp <= avoid] for v in avoid}
-        bad = frozenset()
-        for mec in _max_end_components(avoid, sub):
-            bad |= mec
+        bad = _trim(all_states - target, supports)
     else:
-        bad = frozenset()
-        for mec in _max_end_components(all_states, supports):
-            if mec - target:
-                bad |= mec
+        bad = all_states
+        while True:
+            kept = _trim(bad, supports)
+            inside = {v: frozenset().union(*(supp for supp in supports[v] if supp <= kept))
+                      for v in kept}
+            shrunk = _can_reach(kept, inside, kept - target)
+            if shrunk == bad:
+                break
+            bad = shrunk
     return all_states - _can_reach(g.states, edges, bad)
 
 

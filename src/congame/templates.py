@@ -189,12 +189,11 @@ def _rank_groups(
 ) -> tuple[frozenset[str], ...]:
     # one group per opponent action: non-unsafe actions that step into the
     # previous rank against it; duplicates collapse
-    groups = []
-    for b in g.p2_actions(v):
-        groups.append(frozenset(
-            a for a in g.p1_actions(v)
-            if a not in s and g.succ(v, a, b) in prev_rank))
-    return canonical_groups(groups)
+    offset, row = g.succ_row(v)
+    states = g.states
+    return canonical_groups(
+        frozenset(a for a, i in offset.items() if a not in s and states[row[i + j]] in prev_rank)
+        for j in range(len(g.p2_actions(v))))
 
 
 def template_for(

@@ -8,9 +8,9 @@ implementations under test.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
-from congame import GameGraph
+from congame import GameGraph, ObjectiveKind
 
 
 def _supports(actions):
@@ -158,3 +158,40 @@ def oracle_sccs(nodes: frozenset, edges) -> set:
         reach[v] = seen
     return {frozenset(w for w in nodes if w in reach[v] and v in reach[w])
             for v in nodes}
+
+
+def oracle_verify(g: GameGraph, s, objective) -> frozenset:
+    """States from which the constant strategy `s` wins `objective` against
+    every memoryless deterministic opponent, which suffice for these
+    objectives (Chatterjee, Jurdzinski and Henzinger, SODA 2004).
+
+    For every choice of one P2 action per state, the states that can reach a
+    non-target state (safety), or a bottom component of the induced chain
+    that misses the target (buchi) or holds a non-target state (cobuchi),
+    lose.
+    """
+    nodes = frozenset(g.states)
+    target = frozenset(objective.target)
+    support = {v: [a for a, sched in s.schedules[v].items() if sched.p > 0] for v in g.states}
+    losing: set = set()
+    for choice in product(*map(g.p2_actions, g.states)):
+        edges = {v: {g.succ(v, a, b) for a in support[v]} for v, b in zip(g.states, choice)}
+        if objective.kind is ObjectiveKind.SAFETY:
+            bad = set(nodes - target)
+        else:
+            bad = set()
+            for comp in oracle_sccs(nodes, edges):
+                bottom = all(edges[v] <= comp for v in comp)
+                if objective.kind is ObjectiveKind.BUCHI:
+                    violates = not comp & target
+                else:
+                    violates = bool(comp - target)
+                if bottom and violates:
+                    bad |= comp
+        while True:
+            more = {v for v in nodes - bad if edges[v] & bad}
+            if not more:
+                break
+            bad |= more
+        losing |= bad
+    return nodes - losing

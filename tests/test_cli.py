@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congame import NonConvergence
 from congame.cli import main
 
-from .conftest import GAMES, REPO, golden_text
+from .conftest import GAMES, GOLDENS, REPO, golden_text
 
 BUCHI = str(GAMES / "buchi_cycle.json")
 COBUCHI = str(GAMES / "cobuchi_stabilize.json")
@@ -210,6 +215,21 @@ class TestSimulateCli:
             assert code == 0
             assert len(out.splitlines()) == 1
 
+    def test_all_geometric_row_runs_past_underflow(self, capsys, tmp_path):
+        # c * r**n underflows to 0.0 for both actions from visit n = 1074 on
+        game = tmp_path / "g.json"
+        game.write_text(json.dumps({
+            "states": ["A"], "p1_actions": {"A": ["a", "b"]}, "p2_actions": {"A": ["p"]},
+            "transitions": [{"from": "A", "p1": a, "p2": "p", "to": "A"} for a in "ab"],
+        }), encoding="utf-8")
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps({"A": {
+            "a": {"kind": "geometric", "c": 0.5, "r": 0.5},
+            "b": {"kind": "geometric", "c": 0.25, "r": 0.5}}}), encoding="utf-8")
+        code, out = run(capsys, "simulate", str(game), str(strat), "--horizon", "2000")
+        assert code == 0
+        assert len(json.loads(out)["steps"]) == 2000
+
 
 class TestAdaptCli:
     def test_trace_csv(self, capsys):
@@ -316,6 +336,82 @@ class TestBadInputsCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+# per loader: its well-formed input file, the part of that file to mutate,
+# and the command that reads it (`{f}` stands for the mutated file)
+LOADERS = {
+    "game": (BUCHI, (), ["solve", "{f}"]),
+    "objective": (COBUCHI, ("objective",), ["solve", "{f}"]),
+    "template": (str(GOLDENS / "template_cobuchi_stabilize.json"), (), ["extract", COBUCHI, "{f}"]),
+    "strategy": (STRAT_C, (), ["verify", COBUCHI, "{f}"]),
+    "reward": (REWARD, (), ["adapt", COBUCHI, "{f}", "--horizon", "5"]),
+    "opponent": (OPP, (), ["simulate", COBUCHI, STRAT_C, *OPP_ARGS, "{f}", "--horizon", "5"]),
+    "turn-based": (TB, (), ["convert", "{f}"]),
+}
+
+NAMES = st.sampled_from(["", "A", "S0", "S2", "a", "d", "u", "kind", "constant", "geometric",
+                         "buchi", "cobuchi", "safety", "states", "transitions"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | NAMES
+    | st.sampled_from([0.0, 0.5, 1.0, -1.0, 1e308, 10 ** 400, float("nan"), float("inf")]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(NAMES, inner, max_size=3),
+    max_leaves=6)
+
+
+def _slots(holder, key):
+    """Every (container, key) slot of the JSON tree at holder[key], that
+    slot first."""
+    yield holder, key
+    node = holder[key]
+    keys = list(node) if isinstance(node, dict) else \
+        range(len(node)) if isinstance(node, list) else ()
+    for k in keys:
+        yield from _slots(node, k)
+
+
+@st.composite
+def mutated_inputs(draw):
+    """A loader, its command, and its input after one to three mutations:
+    replace a node, drop a key, or duplicate a list entry."""
+    name = draw(st.sampled_from(sorted(LOADERS)))
+    path, part, argv = LOADERS[name]
+    with open(path, encoding="utf-8") as fh:
+        top = {"": json.load(fh)}
+    for _ in range(draw(st.integers(1, 3))):
+        holder, key = top, ""
+        for step in part:
+            if isinstance(holder[key], dict) and step in holder[key]:
+                holder, key = holder[key], step
+        holder, key = draw(st.sampled_from(list(_slots(holder, key))))
+        node = holder[key]
+        mutation = draw(st.sampled_from(["replace", "drop", "duplicate"]))
+        if mutation == "drop" and isinstance(node, dict) and node:
+            del node[draw(st.sampled_from(sorted(node)))]
+        elif mutation == "duplicate" and isinstance(node, list) and node:
+            node.insert(draw(st.integers(0, len(node))), copy.deepcopy(draw(st.sampled_from(node))))
+        else:
+            holder[key] = draw(JSON_VALUES)
+    return name, argv, top[""]
+
+
+class TestLoaderFuzz:
+    """Mutated input to every loader ends in exit 0, or in exit 2 with a
+    message and nothing on stdout; no exception escapes `main`."""
+
+    @given(mutated_inputs())
+    @settings(max_examples=300)
+    def test_mutated_input_exits_0_or_2(self, tmp_path_factory, case):
+        name, argv, raw = case
+        path = tmp_path_factory.getbasetemp() / "fuzz-input.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([arg.replace("{f}", str(path)) for arg in argv])
+        assert code in (0, 2), (name, err.getvalue())
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
 
 
 class TestIncrementalCli:

@@ -36,10 +36,10 @@ from congame import (
     validate_strategy,
     verify_memoryless,
 )
-from congame.strategies import _sample, _sccs
+from congame.strategies import _sample
 
 from .conftest import GAMES, games_with_objective
-from .oracles import oracle_sccs
+from .oracles import oracle_verify
 
 
 def load_strategy(name: str) -> ScheduleStrategy:
@@ -73,6 +73,14 @@ class TestSchedules:
         s = all_constant({"A": {"a": 3.0, "b": 1.0}})
         d = s.distribution("A", 0)
         assert d.prob("a") == pytest.approx(0.75)
+
+    def test_all_geometric_row_keeps_its_weights_past_underflow(self):
+        # c * r**n is 0.0 for both actions from visit n = 1074 on
+        s = strategy_from_dict({"A": {"a": {"kind": "geometric", "c": 0.5, "r": 0.5},
+                                      "b": {"kind": "geometric", "c": 0.25, "r": 0.5}}})
+        d = s.distribution("A", 5000)
+        assert d.prob("a") == pytest.approx(2 / 3)
+        assert d.prob("b") == pytest.approx(1 / 3)
 
     def test_unknown_state(self):
         s = all_constant({"A": {"a": 1.0}})
@@ -297,6 +305,17 @@ class TestCompliance:
             "verdict": "noncompliant", "state": "A", "clause": "live"}
 
 
+@st.composite
+def constant_strategies(draw, g):
+    """A constant strategy on `g` whose support at each state is a random
+    nonempty set of actions."""
+    schedules = {}
+    for v in g.states:
+        acts = draw(st.lists(st.sampled_from(g.p1_actions(v)), min_size=1, unique=True))
+        schedules[v] = {a: Constant(draw(st.floats(0.1, 2.0))) for a in acts}
+    return ScheduleStrategy(schedules)
+
+
 class TestVerifyMemoryless:
     def test_safety_gadget(self, safety_game, safety_objective):
         s = all_constant({"g": {"s": 1.0}, "t": {"s": 1.0}})
@@ -338,6 +357,14 @@ class TestVerifyMemoryless:
         assert "S2" not in verified
         assert "S4" not in verified
 
+    @pytest.mark.parametrize("kind", list(ObjectiveKind))
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_matches_brute_force_oracle(self, kind, data):
+        g, obj = data.draw(games_with_objective(kinds=(kind,)))
+        s = data.draw(constant_strategies(g))
+        assert verify_memoryless(g, s, obj) == oracle_verify(g, s, obj)
+
     @given(games_with_objective(kinds=(ObjectiveKind.SAFETY, ObjectiveKind.BUCHI)))
     @settings(max_examples=40)
     def test_extracted_strategy_verifies_winning_region(self, go):
@@ -346,32 +373,6 @@ class TestVerifyMemoryless:
         s = extract_strategy(g, t)
         decomp = solve(g, obj)
         assert decomp.winning <= verify_memoryless(g, s, obj)
-
-
-@st.composite
-def digraphs(draw):
-    """A node subset of a random digraph whose edges may leave the subset."""
-    names = [f"n{i}" for i in range(draw(st.integers(1, 8)))]
-    edges = {v: frozenset(draw(st.sets(st.sampled_from(names)))) for v in names}
-    nodes = frozenset(draw(st.sets(st.sampled_from(names), min_size=1)))
-    return nodes, edges
-
-
-class TestComponents:
-    @given(digraphs())
-    def test_sccs_match_mutual_reachability(self, graph):
-        nodes, edges = graph
-        comps = _sccs(nodes, edges)
-        assert len(comps) == len(set(comps))
-        assert set(comps) == oracle_sccs(nodes, edges)
-
-    def test_sccs_on_a_long_chain_with_a_back_edge(self):
-        names = [f"n{i:04d}" for i in range(3000)]
-        edges = {v: frozenset({w}) for v, w in zip(names, names[1:])}
-        edges[names[-1]] = frozenset({names[1000]})
-        comps = _sccs(frozenset(names), edges)
-        assert frozenset(names[1000:]) in comps
-        assert len(comps) == 1001
 
 
 class TestOpponents:
@@ -440,7 +441,7 @@ def reference_steps(g, s, opponent, horizon, seed, start):
 @st.composite
 def simulation_setups(draw):
     """A random arena with an extracted or hand-built schedule strategy (its
-    geometric rows may decay to no positive weight), an opponent, a
+    geometric rows may decay below the smallest float), an opponent, a
     horizon, a seed and a start state."""
     g, obj = draw(games_with_objective(max_states=6))
     if draw(st.booleans()):
