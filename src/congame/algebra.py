@@ -262,7 +262,9 @@ def run_heatmap(
     Game i is drawn from seed `seed + i`; for each target size the harness
     composes `max_objectives` random buchi templates incrementally and
     records where conflicts appear.  Rows are averaged over the games and
-    sorted by (objective_size, objectives_added).
+    sorted by (objective_size, objectives_added).  The games may run in a
+    process pool (:func:`~congame.model.map_tasks`): a script passing jobs > 1
+    must guard its entry point with ``if __name__ == "__main__":``.
     """
     if games <= 0:
         raise InputError("games must be positive")

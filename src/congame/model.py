@@ -107,13 +107,13 @@ class GameGraph:
     canonical pieces; both fill the successor table in one pass
     (:meth:`_fill`) and enforce totality of the transition function.
 
-    The operators run on an index that extraction, compliance checking and
-    verification never read, so it is built on first use: the views below
-    read its slots inside a ``try``, which costs nothing until a slot turns
-    out empty.  Per state and P1 action it holds the mask of the successor
-    states and ``(successor bit, mask of the P2 actions leading there)``
-    pairs; per state, the mask of its predecessors, which the solvers use to
-    find what a changed iterate can affect.
+    The operators run on an index that extraction and compliance checking
+    never read, so it is built on first use: the views below read its slots
+    inside a ``try``, which costs nothing until a slot turns out empty.  Per
+    state and P1 action it holds the mask of the successor states and
+    ``(successor bit, mask of the P2 actions leading there)`` pairs; per
+    state, the mask of its predecessors, which the solvers and verification
+    use to find what a changed iterate can affect.
     """
 
     __slots__ = (
@@ -483,6 +483,8 @@ def read_json(path: str):
             return json.load(fh)
         except ValueError as e:
             raise InputError(f"{path}: invalid JSON: {e}") from None
+        except RecursionError:
+            raise InputError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 def load_game(path: str) -> tuple[GameGraph, Union[Objective, None]]:
@@ -552,7 +554,9 @@ def worker_count(jobs: int, n_tasks: int) -> int:
 
 def map_tasks(func: Callable, tasks: Sequence[tuple], jobs: int) -> list:
     """`[func(*t) for t in tasks]`, on a process pool when :func:`worker_count`
-    allows more than one worker; results keep the task order."""
+    allows more than one worker; results keep the task order.  The workers
+    are spawned, so a script passing jobs > 1 needs an ``if __name__ ==
+    "__main__":`` guard; without it they end abruptly (a CongameError)."""
     workers = worker_count(jobs, len(tasks))
     if workers == 1:
         return [func(*t) for t in tasks]
@@ -561,5 +565,9 @@ def map_tasks(func: Callable, tasks: Sequence[tuple], jobs: int) -> list:
 
     # spawned workers start from a fresh import, not a fork of a threaded parent
     spawn = multiprocessing.get_context("spawn")
-    with futures.ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-        return list(pool.map(func, *zip(*tasks)))
+    try:
+        with futures.ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+            return list(pool.map(func, *zip(*tasks)))
+    except futures.process.BrokenProcessPool:
+        raise CongameError("a worker process ended abruptly; a script that passes jobs > 1 "
+                           'must guard its entry point with if __name__ == "__main__":') from None

@@ -10,7 +10,7 @@ integer bitmasks over the game's sorted state/action indices and are what
 the fixpoint solvers call in their inner loops.
 
 The mask variants run on the successor index that :class:`GameGraph`
-builds once at construction: per state and P1 action, the mask of its
+builds on first use: per state and P1 action, the mask of its
 successors (``g.succ_masks``) and ``(successor bit, P2 action mask)``
 pairs (``g.succ_pairs``).  "Every successor of action a lies in Y" is then
 one test ``succ_mask & ~Y == 0``, and the P2 actions that reach X or leave
@@ -19,14 +19,17 @@ Y are an OR over the pairs, with no per-joint-action lookups.
 ``a_set_mask``, ``b_set_mask`` and ``afpre_fix_mask`` evaluate one state.
 ``pre1_mask``, ``apre1_mask`` and ``afpre1_mask`` evaluate the states of an
 optional candidate mask (every state by default) and return the mask of
-those that qualify.  A state's result depends only on the arguments
-restricted to its successors, which is what lets the solvers re-evaluate
-only the predecessors of states whose membership changed.
+those that qualify.  The opponent-side ``pre2_mask`` and ``apre2_mask`` do
+the same with P1's play fixed to a per-state action mask ``gamma1[vi]``;
+exact verification of a strategy runs on them.  A state's result depends
+only on the arguments restricted to its successors, which is what lets the
+solvers re-evaluate only the predecessors of states whose membership
+changed.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from typing import Optional
 
 from .model import GameGraph, NonConvergence, UnknownAction
@@ -96,6 +99,37 @@ def apre1_mask(g: GameGraph, y_mask: int, x_mask: int, cand: Optional[int] = Non
         vi = low.bit_length() - 1
         stay = a_set_mask(g, vi, y_mask, 0)
         if stay and b_set_mask(g, vi, x_mask, stay) == (1 << len(g.p2_names(vi))) - 1:
+            out |= low
+        todo ^= low
+    return out
+
+
+def pre2_mask(g: GameGraph, gamma1: Sequence[int], y_mask: int, cand: Optional[int] = None) -> int:
+    """States of `cand` (default: all) where, against P1 playing gamma1, some
+    P2 action keeps every successor inside Y."""
+    out = 0
+    todo = g.full_mask if cand is None else cand
+    while todo:
+        low = todo & -todo
+        vi = low.bit_length() - 1
+        if b_set_mask(g, vi, ~y_mask, gamma1[vi]) != (1 << len(g.p2_names(vi))) - 1:
+            out |= low
+        todo ^= low
+    return out
+
+
+def apre2_mask(
+    g: GameGraph, gamma1: Sequence[int], y_mask: int, x_mask: int, cand: Optional[int] = None,
+) -> int:
+    """States of `cand` (default: all) where, against P1 playing gamma1, some
+    P2 action keeps every successor inside Y and hits X with positive probability."""
+    out = 0
+    todo = g.full_mask if cand is None else cand
+    while todo:
+        low = todo & -todo
+        vi = low.bit_length() - 1
+        hit = b_set_mask(g, vi, x_mask, gamma1[vi])
+        if hit and hit & ~b_set_mask(g, vi, ~y_mask, gamma1[vi]):
             out |= low
         todo ^= low
     return out

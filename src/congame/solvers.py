@@ -40,8 +40,9 @@ what changed.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import partial
 
 from .model import GameGraph, NonConvergence, Objective, ObjectiveKind
 from .operators import afpre1_mask, apre1_mask, pre1_mask
@@ -91,15 +92,16 @@ def _decomposition(g: GameGraph, winning_mask: int, chain: list[int]) -> RankDec
     return RankDecomposition(winning=g.unmask(winning_mask), ranks=tuple(ranks))
 
 
-def _shrink_to_pre1(g: GameGraph, bound: int, context: str) -> int:
-    """Greatest fixpoint of X -> bound & pre1(X), iterated from X = bound.
+def _shrink(g: GameGraph, bound: int, keeps: Callable[[int, int], int], context: str) -> int:
+    """Greatest fixpoint of X -> bound & keeps(X), iterated from X = bound;
+    ``keeps(x, cand)`` is a monotone mask operator deciding the states of `cand`.
 
     The first round checks every state of the bound; each later round only
     the members that are predecessors of the states the last round removed.
     """
     x = cand = bound
     for _ in range(g.n_states + 1):
-        nxt = x & ~(cand & ~pre1_mask(g, x, cand))
+        nxt = x & ~(cand & ~keeps(x, cand))
         if nxt == x:
             return x
         cand = nxt & g.pred_mask(x & ~nxt)
@@ -109,7 +111,7 @@ def _shrink_to_pre1(g: GameGraph, bound: int, context: str) -> int:
 
 def solve_safety(g: GameGraph, target: Iterable[str]) -> RankDecomposition:
     """Largest subset of `target` that P1 can surely never leave."""
-    x = _shrink_to_pre1(g, g.mask(target), "safety fixpoint")
+    x = _shrink(g, g.mask(target), partial(pre1_mask, g), "safety fixpoint")
     return _decomposition(g, x, [x])
 
 
@@ -153,7 +155,7 @@ def solve_cobuchi(g: GameGraph, target: Iterable[str]) -> RankDecomposition:
     z = g.full_mask
     for _ in range(g.n_states + 1):
         i_z, not_i_z = i_mask & z, not_i & z
-        cur = _shrink_to_pre1(g, i_z, "safety core fixpoint")
+        cur = _shrink(g, i_z, partial(pre1_mask, g), "safety core fixpoint")
         chain = [cur]
         # apre1(z, {}) is empty; afpre1(z, z, {}) is not, so it starts full
         ap = apre1_mask(g, z, cur, not_i_z & g.pred_mask(cur))

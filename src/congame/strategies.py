@@ -25,6 +25,7 @@ import random
 from itertools import chain
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Union
 
 from .model import (
@@ -41,6 +42,8 @@ from .model import (
     _NUMBER,
     map_tasks,
 )
+from .operators import apre2_mask, pre2_mask
+from .solvers import _shrink
 from .templates import ConflictReport, Template, check_conflict_free, check_weight_params
 
 
@@ -292,120 +295,61 @@ def check_compliance(g: GameGraph, t: Template, s: ScheduleStrategy) -> Complian
 
 # -- exact verification of constant strategies -------------------------------
 
-def _constant_distributions(g: GameGraph, s: ScheduleStrategy) -> dict[str, ActionDistribution]:
-    validate_strategy(g, s)
-    out: dict[str, ActionDistribution] = {}
-    for v in g.states:
-        for a, sched in s.schedules[v].items():
-            if not isinstance(sched, Constant):
-                raise NonConstantSchedule(v, a)
-        out[v] = s.distribution(v, 0)
-    return out
-
-
-def _supports(g: GameGraph, dists: Mapping[str, ActionDistribution]) -> dict[str, list[frozenset[str]]]:
-    """Per state, the successor support of each opponent action."""
-    out: dict[str, list[frozenset[str]]] = {}
-    for v in g.states:
-        offset, row = g.succ_row(v)
-        runs = [offset[a] for a in dists[v].support]
-        out[v] = [frozenset(g.states[row[i + j]] for i in runs)
-                  for j in range(len(g.p2_actions(v)))]
-    return out
-
-
-def _can_reach(states: Iterable[str], edges: Mapping[str, frozenset[str]], bad: frozenset[str]) -> frozenset[str]:
-    """`bad` plus the states of `states` with a path into it, found by a
-    backward search over the predecessor lists."""
-    preds: dict[str, list[str]] = {}
-    for v in states:
-        for w in edges[v]:
-            preds.setdefault(w, []).append(v)
-    reach = set(bad)
-    stack = list(bad)
-    while stack:
-        for v in preds.get(stack.pop(), ()):
-            if v not in reach:
-                reach.add(v)
-                stack.append(v)
-    return frozenset(reach)
-
-
-def _trim(nodes: frozenset[str], supports: Mapping[str, list[frozenset[str]]]) -> frozenset[str]:
-    """Largest subset of `nodes` in which every state keeps some opponent
-    action whose support stays inside the subset.
-
-    Each state counts its supports inside `nodes`; removing a state drops
-    the supports that contain it, so a backward worklist over the support
-    members finds every state whose count reaches zero.
-    """
-    count: dict[str, int] = {}
-    holders: dict[str, list[tuple[str, int]]] = {}
-    for v in nodes:
-        n = 0
-        for k, supp in enumerate(supports[v]):
-            if supp <= nodes:
-                n += 1
-                for u in supp:
-                    holders.setdefault(u, []).append((v, k))
-        count[v] = n
-    keep = set(nodes)
-    dropped: set[tuple[str, int]] = set()
-    stack = [v for v in nodes if not count[v]]
-    while stack:
-        u = stack.pop()
-        keep.discard(u)
-        for held in holders.get(u, ()):
-            if held not in dropped:
-                dropped.add(held)
-                v = held[0]
-                count[v] -= 1
-                if not count[v]:
-                    stack.append(v)
-    return frozenset(keep)
-
-
 def verify_memoryless(g: GameGraph, s: ScheduleStrategy, objective: Objective) -> frozenset[str]:
     """States from which the constant strategy `s` wins `objective` almost
     surely against every (even history-dependent) opponent.
 
-    Fixing P1's mixed action leaves the opponent a one-player chain, each of
-    its actions giving a successor support.  The answer is the complement of
-    the states that can reach `bad`, a set that holds every end component
-    (de Alfaro 1997) violating the objective and whose states each reach one:
+    Fixing P1's mixed action to its support ``gamma1`` leaves the opponent a
+    one-player chain, each of its actions giving a successor support.  The
+    answer is the complement of the states that can reach `bad`, a set that
+    holds every end component (de Alfaro 1997) violating the objective and
+    whose states each reach one:
 
     * safety: the non-target states.
-    * buchi: `_trim` of the non-target states.  It holds every end component
-      outside the target, and an opponent keeping to the supports inside it
-      ends in a bottom component of its chain, which is such a component.
-    * cobuchi: the greatest X equal to `_trim(X)` cut down to the states that
-      reach X minus the target inside X, along supports that stay in X.  It
-      holds every end component with a non-target state; from X, an opponent
-      mixing uniformly over its staying actions ends in bottom components
-      that meet X minus the target.  Each round is linear and X only
-      shrinks, so at most |V| + 1 rounds run.
+    * buchi: the trim of the non-target states, their greatest subset X with
+      X = pre2(X).  It holds every end component outside the target, and an
+      opponent keeping to the supports inside it ends in a bottom component
+      of its chain, which is such a component.
+    * cobuchi: the greatest X equal to the trim of X cut down to the states
+      that reach X minus the target inside X, along supports that stay in X
+      (apre2).  It holds every end component with a non-target state; from
+      X, an opponent mixing uniformly over its staying actions ends in
+      bottom components that meet X minus the target.  Each round is linear
+      and X only shrinks, so at most |V| + 1 rounds run.
     """
-    dists = _constant_distributions(g, s)
-    supports = _supports(g, dists)
-    edges = {v: frozenset().union(*supports[v]) for v in g.states}
-    all_states = frozenset(g.states)
-    target = frozenset(objective.target)
+    validate_strategy(g, s)
+    gamma1 = []
+    for vi, v in enumerate(g.states):
+        for a, sched in s.schedules[v].items():
+            if not isinstance(sched, Constant):
+                raise NonConstantSchedule(v, a)
+        support = s.distribution(v, 0).support
+        gamma1.append(sum(1 << i for i, a in enumerate(g.p1_names(vi)) if a in support))
+    keeps = partial(pre2_mask, g, gamma1)
+    # target states outside the game are ignored
+    not_t = g.full_mask & ~g.mask(filter(g.__contains__, objective.target))
+
+    def reach(y: int, x: int) -> int:
+        """`x` plus the states of `y` that reach it along supports inside `y`."""
+        added = x
+        while added:
+            added = apre2_mask(g, gamma1, y, x, y & ~x & g.pred_mask(added))
+            x |= added
+        return x
 
     if objective.kind is ObjectiveKind.SAFETY:
-        bad = all_states - target
+        bad = not_t
     elif objective.kind is ObjectiveKind.BUCHI:
-        bad = _trim(all_states - target, supports)
+        bad = _shrink(g, not_t, keeps, "verify trim")
     else:
-        bad = all_states
+        bad = g.full_mask
         while True:
-            kept = _trim(bad, supports)
-            inside = {v: frozenset().union(*(supp for supp in supports[v] if supp <= kept))
-                      for v in kept}
-            shrunk = _can_reach(kept, inside, kept - target)
+            kept = _shrink(g, bad, keeps, "verify trim")
+            shrunk = reach(kept, kept & not_t)
             if shrunk == bad:
                 break
             bad = shrunk
-    return all_states - _can_reach(g.states, edges, bad)
+    return g.unmask(~reach(g.full_mask, bad))
 
 
 # -- opponents and simulation -------------------------------------------------
@@ -571,7 +515,8 @@ def simulate(
     per-episode derived seed; P1 samples first, then the opponent, from the
     same stream.  With jobs > 1 episodes may run in a process pool
     (:func:`~congame.model.map_tasks`) and are merged back in episode order,
-    byte-identical to the sequential run.
+    byte-identical to the sequential run; a script that passes jobs > 1
+    must guard its entry point with ``if __name__ == "__main__":``.
     """
     validate_strategy(g, s)
     if start is None:

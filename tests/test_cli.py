@@ -277,7 +277,8 @@ TEMPLATE = '"live": {}, "partition": [], "objective_tag": "buchi"'
 
 class TestBadInputsCli:
     """Malformed input files and out-of-range parameters exit 2 with a message
-    and no traceback; `{f}` in a command stands for the written input file."""
+    and no traceback; `{f}` in a command or message stands for the written
+    input file."""
 
     @pytest.mark.parametrize("argv, text, message", [
         (["adapt", COBUCHI, REWARD, *OPP_ARGS, "{f}"], "[1]",
@@ -321,13 +322,17 @@ class TestBadInputsCli:
          "--sizes must be comma-separated positive integers, got '1,,2'"),
         (["incremental", "--games", "2", "--sizes", "0"], None,
          "target sizes must be positive integers, got [0]"),
+        (["solve", "{f}"], "[" * 100_000 + "]" * 100_000,
+         "{f}: invalid JSON: nested too deeply"),
+        (["verify", COBUCHI, "{f}"], "[" * 100_000 + "]" * 100_000,
+         "{f}: invalid JSON: nested too deeply"),
     ], ids=["opponent-list", "opponent-string-row", "opponent-nan", "opponent-numeric-string",
             "strategy-list-row", "strategy-constant-without-p", "strategy-nan-p",
             "strategy-infinite-c", "template-live-list", "template-string-winning",
             "template-string-cells", "reward-string", "reward-numeric-string", "reward-nan",
             "adapt-eps-live-nan", "adapt-colive-base-negative", "adapt-alpha-zero",
             "extract-colive-base-inf", "incremental-sizes-letter", "incremental-sizes-empty",
-            "incremental-sizes-zero"])
+            "incremental-sizes-zero", "game-nested-too-deeply", "strategy-nested-too-deeply"])
     def test_exit_2_with_message(self, capsys, tmp_path, argv, text, message):
         path = tmp_path / "input.json"
         if text is not None:
@@ -335,7 +340,7 @@ class TestBadInputsCli:
         assert main([arg.replace("{f}", str(path)) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == f"error: {message.replace('{f}', str(path))}\n"
 
 
 # per loader: its well-formed input file, the part of that file to mutate,
@@ -437,6 +442,25 @@ class TestJobs:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "jobs must be at least 1" in captured.err
+
+    def test_script_without_main_guard_gets_an_error(self, tmp_path):
+        # spawned workers re-run the unguarded script, which cannot start a
+        # pool of its own while they bootstrap, so they end abruptly; two
+        # reported CPUs make even a one-CPU machine start the pool
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "import os, sys\n"
+            "from congame import cli\n"
+            "os.cpu_count = lambda: 2\n"
+            f"sys.exit(cli.main(['simulate', {COBUCHI!r}, {STRAT_C!r}, '--episodes', '2',"
+            " '--horizon', '3', '--jobs', '2']))\n", encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert ("error: a worker process ended abruptly; a script that passes jobs > 1 must "
+                'guard its entry point with if __name__ == "__main__":\n') in done.stderr
 
 
 class TestConvertCli:

@@ -391,7 +391,7 @@ class TestOnePassArena:
             (["template", game, "-o", p["template"]], 1),
             (["extract", game, p["template"], "-o", p["extract"]], 0),
             (["check", game, p["template"], p["extract"], "-o", p["check"]], 0),
-            (["verify", game, p["extract"], "-o", p["verify"]], 0),
+            (["verify", game, p["extract"], "-o", p["verify"]], 1),
         ]:
             calls.clear()
             assert cli.main(argv) == 0

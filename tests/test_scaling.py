@@ -1,4 +1,5 @@
-"""Deterministic scaling guard for the fixpoint solvers.
+"""Deterministic scaling guard for the fixpoint solvers and exact
+verification.
 
 Ladder games force a rank chain as long as the game, the worst case for the
 nested fixpoints.  Instead of timing the solvers, the guard counts per-state
@@ -14,7 +15,19 @@ import random
 
 import pytest
 
-from congame import GameGraph, operators, solve_buchi, solve_cobuchi, solve_safety
+from congame import (
+    GameGraph,
+    Objective,
+    ObjectiveKind,
+    extract_strategy,
+    operators,
+    solve,
+    solve_buchi,
+    solve_cobuchi,
+    solve_safety,
+    template_for,
+    verify_memoryless,
+)
 
 P1 = ("a", "b", "c")
 P2 = ("d", "e", "f")
@@ -67,6 +80,25 @@ def _solve_counted(evaluations, solver, n: int):
 def test_operator_evaluations_grow_linearly(evaluations, solver):
     _, _, small = _solve_counted(evaluations, solver, 64)
     _, _, large = _solve_counted(evaluations, solver, 128)
+    assert small > 0
+    assert large <= GROWTH_PER_DOUBLING * small, (small, large)
+
+
+def _verify_counted(evaluations, kind: ObjectiveKind, n: int) -> int:
+    g, chain = ladder(n)
+    target = chain[1:] if kind is ObjectiveKind.SAFETY else chain[:1]
+    obj = Objective(kind, frozenset(target))
+    decomp = solve(g, obj)
+    s = extract_strategy(g, template_for(g, obj, decomp))
+    before = evaluations[0]
+    assert verify_memoryless(g, s, obj) == decomp.winning
+    return evaluations[0] - before
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+def test_verify_evaluations_grow_linearly(evaluations, kind):
+    small = _verify_counted(evaluations, kind, 64)
+    large = _verify_counted(evaluations, kind, 128)
     assert small > 0
     assert large <= GROWTH_PER_DOUBLING * small, (small, large)
 
