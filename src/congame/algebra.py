@@ -20,16 +20,19 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .corpus import random_game, random_subset
 from .model import (
+    CongameError,
     GameGraph,
     InputError,
     Objective,
     ObjectiveKind,
     map_tasks,
 )
+from .solvers import RankDecomposition, solve_buchi
 from .templates import (
     ConflictReport,
     Template,
@@ -109,26 +112,46 @@ def counter_product(
     The counter advances past index c when the current base state lies in
     targets[c]; the product target is "counter at the last objective and on
     it", so visiting the product target infinitely often is equivalent to
-    visiting every base target infinitely often.
+    visiting every base target infinitely often.  The product's moves are
+    read from the base game's successor table.
     """
     k = len(targets)
     if k == 0:
         raise InputError("counter product needs at least one target")
-    states = [_product_name(v, c) for v in g.states for c in range(k)]
-    p1 = {}
-    p2 = {}
-    delta = {}
-    for v in g.states:
-        for c in range(k):
-            name = _product_name(v, c)
-            p1[name] = g.p1_actions(v)
-            p2[name] = g.p2_actions(v)
+    names = [[_product_name(v, c) for c in range(k)] for v in g.states]
+    p1: dict[str, tuple[str, ...]] = {}
+    p2: dict[str, tuple[str, ...]] = {}
+    moves = []
+    for vi, v in enumerate(g.states):
+        offset, row = g.succ_row(v)
+        acts1, acts2 = g.p1_names(vi), g.p2_names(vi)
+        for c, name in enumerate(names[vi]):
+            p1[name], p2[name] = acts1, acts2
             nxt_c = (c + 1) % k if v in targets[c] else c
-            for a in g.p1_actions(v):
-                for b in g.p2_actions(v):
-                    delta[(name, a, b)] = _product_name(g.succ(v, a, b), nxt_c)
+            for a, run in offset.items():
+                moves.extend(((name, a, b), names[row[run + j]][nxt_c])
+                             for j, b in enumerate(acts2))
+    pg = GameGraph.__new__(GameGraph)
+    if not pg._fill(chain.from_iterable(names), p1, p2, moves, len(moves)):
+        raise CongameError("counter product: the base game's successor table is not total")
     ptarget = frozenset(_product_name(v, k - 1) for v in targets[k - 1])
-    return GameGraph(states, p1, p2, delta), ptarget
+    return pg, ptarget
+
+
+def _solve_conjunction(
+    g: GameGraph, objectives: Sequence[Objective],
+) -> tuple[GameGraph, Objective, RankDecomposition, frozenset[str]]:
+    """Solve the conjunction of the buchi `objectives` once on their counter
+    product.  Returns the product, its buchi objective, the solver's
+    decomposition and the exact region: the base states winning at counter 0.
+    """
+    for obj in objectives:
+        if obj.kind is not ObjectiveKind.BUCHI:
+            raise UnsupportedObjective(obj.kind.value, "exact conjunction")
+    pg, ptarget = counter_product(g, [frozenset(obj.target) for obj in objectives])
+    decomp = solve_buchi(pg, ptarget)
+    region = frozenset(v for v in g.states if _product_name(v, 0) in decomp.winning)
+    return pg, Objective(ObjectiveKind.BUCHI, ptarget), decomp, region
 
 
 def buchi_conjunction(
@@ -141,15 +164,10 @@ def buchi_conjunction(
     projection unions the per-counter constraints, so it can be stricter
     than necessary, but the winning region is exact.
     """
-    for obj in objectives:
-        if obj.kind is not ObjectiveKind.BUCHI:
-            raise UnsupportedObjective(obj.kind.value, "exact conjunction")
-    targets = [frozenset(obj.target) for obj in objectives]
-    pg, ptarget = counter_product(g, targets)
-    pt = template_for(pg, Objective(ObjectiveKind.BUCHI, ptarget))
-    k = len(targets)
+    pg, objective, decomp, winning = _solve_conjunction(g, objectives)
+    pt = template_for(pg, objective, decomp)
+    k = len(objectives)
 
-    winning = frozenset(v for v in g.states if _product_name(v, 0) in pt.winning)
     unsafe: dict[str, frozenset[str]] = {}
     live: dict[str, set[frozenset[str]]] = {}
     for v in g.states:
@@ -220,7 +238,7 @@ def incremental_synthesize(
         merged, report = compose(g, [t] if merged is None else [merged, t])
         exact: Optional[frozenset[str]] = None
         if all(o.kind is ObjectiveKind.BUCHI for o in objectives[:i]):
-            _, exact = buchi_conjunction(g, objectives[:i])
+            exact = _solve_conjunction(g, objectives[:i])[3]
         steps.append(IncrementalStep(i, obj, merged, report, exact))
     return steps
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congame import (
+    GameGraph,
     GameMismatch,
     InputError,
     Objective,
@@ -30,6 +31,7 @@ from congame import (
 )
 
 from .conftest import game_graphs
+from .oracles import oracle_solve_buchi
 
 
 @st.composite
@@ -122,7 +124,61 @@ class TestCompose:
                     assert cell in merged.partition
 
 
+def reference_counter_product(g, targets):
+    """The counter product built name by name from `g.succ`."""
+    k = len(targets)
+    p1, p2, delta = {}, {}, {}
+    for v in g.states:
+        for c in range(k):
+            name = f"{v}@{c}"
+            p1[name], p2[name] = g.p1_actions(v), g.p2_actions(v)
+            nxt_c = (c + 1) % k if v in targets[c] else c
+            for a in g.p1_actions(v):
+                for b in g.p2_actions(v):
+                    delta[(name, a, b)] = f"{g.succ(v, a, b)}@{nxt_c}"
+    return GameGraph(list(p1), p1, p2, delta), frozenset(f"{v}@{k - 1}" for v in targets[-1])
+
+
+def assert_same_arena(pg, ref):
+    assert pg.states == ref.states
+    for vi, v in enumerate(ref.states):
+        assert pg.p1_actions(v) == ref.p1_actions(v)
+        assert pg.p2_actions(v) == ref.p2_actions(v)
+        for a in ref.p1_actions(v):
+            for b in ref.p2_actions(v):
+                assert pg.succ(v, a, b) == ref.succ(v, a, b)
+        assert pg.succ_masks(vi) == ref.succ_masks(vi)
+        assert pg.succ_pairs(vi) == ref.succ_pairs(vi)
+        assert pg.pred_mask(1 << vi) == ref.pred_mask(1 << vi)
+
+
+@st.composite
+def games_with_targets(draw, max_targets: int = 4):
+    g = draw(game_graphs())
+    target = st.frozensets(st.sampled_from(g.states), min_size=1)
+    return g, draw(st.lists(target, min_size=1, max_size=max_targets))
+
+
 class TestCounterProduct:
+    @given(games_with_targets())
+    @settings(max_examples=60)
+    def test_equals_name_level_construction(self, gts):
+        g, targets = gts
+        pg, ptarget = counter_product(g, targets)
+        ref, ref_target = reference_counter_product(g, targets)
+        assert ptarget == ref_target
+        assert_same_arena(pg, ref)
+
+    def test_counters_past_nine_sort_as_names(self):
+        # with 11 targets the product's states sort "q0@10" before "q0@2"
+        g = random_game(random.Random(4), n_states=3)
+        targets = [frozenset({g.states[c % 3]}) for c in range(11)]
+        pg, ptarget = counter_product(g, targets)
+        ref, ref_target = reference_counter_product(g, targets)
+        assert pg.states[:3] == ("q0@0", "q0@1", "q0@10")
+        assert ptarget == ref_target == {"q1@10"}
+        assert_same_arena(pg, ref)
+
     def test_single_target_mirrors_base(self, buchi_game):
         pg, ptarget = counter_product(buchi_game, [frozenset({"C"})])
         assert ptarget == {"C@0"}
@@ -207,6 +263,20 @@ class TestIncremental:
             ref, report = compose(g, [template_for(g, o) for o in objs[:k]])
             assert step.template == ref
             assert step.conflicts == report
+
+    @given(games_with_targets())
+    @settings(max_examples=40)
+    def test_exact_region_is_the_products_counter_zero(self, gts):
+        # the conjunction region, the product's own solve and the brute-force
+        # solve on the product agree for every all-buchi prefix
+        g, targets = gts
+        objs = [Objective(ObjectiveKind.BUCHI, t) for t in targets]
+        steps = incremental_synthesize(g, objs)
+        for k, step in enumerate(steps, start=1):
+            pg, ptarget = counter_product(g, targets[:k])
+            oracle, _ = oracle_solve_buchi(pg, ptarget)
+            expected = frozenset(v for v in g.states if f"{v}@0" in oracle)
+            assert step.exact_winning == buchi_conjunction(g, objs[:k])[1] == expected
 
     def test_steps_accumulate(self, buchi_game):
         objs = [Objective(ObjectiveKind.BUCHI, frozenset({"C"})),

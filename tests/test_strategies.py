@@ -6,7 +6,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from congame import (
@@ -14,6 +14,7 @@ from congame import (
     ConflictError,
     Constant,
     FixedSchedule,
+    GameGraph,
     Geometric,
     GreedyAdversary,
     InputError,
@@ -38,7 +39,7 @@ from congame import (
 )
 from congame.strategies import _sample
 
-from .conftest import GAMES, games_with_objective
+from .conftest import GAMES, game_graphs, games_with_objective
 from .oracles import oracle_verify
 
 
@@ -306,14 +307,35 @@ class TestCompliance:
 
 
 @st.composite
-def constant_strategies(draw, g):
-    """A constant strategy on `g` whose support at each state is a random
-    nonempty set of actions."""
+def verify_cases(draw):
+    """An arena, a nonempty target and a constant strategy on the arena whose
+    support at each state is a random nonempty set of actions."""
+    g = draw(game_graphs())
+    target = frozenset(draw(st.sets(st.sampled_from(g.states), min_size=1)))
     schedules = {}
     for v in g.states:
         acts = draw(st.lists(st.sampled_from(g.p1_actions(v)), min_size=1, unique=True))
         schedules[v] = {a: Constant(draw(st.floats(0.1, 2.0))) for a in acts}
-    return ScheduleStrategy(schedules)
+    return g, target, ScheduleStrategy(schedules)
+
+
+# Every state wins cobuchi {q0, q1}: q1 is absorbing, and at q0 the opponent's
+# e leaves for q2 against a but for q1 against b.  In the second trim round q0
+# and q2 remain; only the stays-in-Y condition of the reach (apre2) stops q0,
+# whose e also leaves that set, from reaching q2.  Without it q0 and q2 stay
+# bad and only q1 would win.
+COBUCHI_REACH_WITNESS = (
+    GameGraph(
+        ["q0", "q1", "q2"],
+        {"q0": ["a", "b"], "q1": ["a"], "q2": ["a"]},
+        {"q0": ["d", "e"], "q1": ["d"], "q2": ["d", "e"]},
+        {("q0", "a", "d"): "q0", ("q0", "a", "e"): "q2",
+         ("q0", "b", "d"): "q0", ("q0", "b", "e"): "q1",
+         ("q1", "a", "d"): "q1",
+         ("q2", "a", "d"): "q1", ("q2", "a", "e"): "q0"}),
+    frozenset({"q0", "q1"}),
+    all_constant({"q0": {"a": 1.0, "b": 1.0}, "q1": {"a": 1.0}, "q2": {"a": 1.0}}),
+)
 
 
 class TestVerifyMemoryless:
@@ -358,11 +380,12 @@ class TestVerifyMemoryless:
         assert "S4" not in verified
 
     @pytest.mark.parametrize("kind", list(ObjectiveKind))
-    @given(data=st.data())
+    @given(case=verify_cases())
+    @example(case=COBUCHI_REACH_WITNESS)
     @settings(max_examples=100)
-    def test_matches_brute_force_oracle(self, kind, data):
-        g, obj = data.draw(games_with_objective(kinds=(kind,)))
-        s = data.draw(constant_strategies(g))
+    def test_matches_brute_force_oracle(self, kind, case):
+        g, target, s = case
+        obj = Objective(kind, target)
         assert verify_memoryless(g, s, obj) == oracle_verify(g, s, obj)
 
     @given(games_with_objective(kinds=(ObjectiveKind.SAFETY, ObjectiveKind.BUCHI)))
