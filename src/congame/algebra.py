@@ -9,10 +9,12 @@ reported, and never silently repaired.
 
 For conjunctions of pure buchi objectives the counter product gives the
 exact almost-sure region: the game is unrolled against a round-robin counter
-that advances past target i when it is visited, and the product's buchi
-template is projected back to the base game by union over counter values (a
-sound memoryless weakening of the finite-memory product template; the
-projected winning region is exact).
+that advances past target i when it is visited, the product is solved once
+for its buchi objective, and the region is the base states winning at
+counter 0.  Incremental synthesis needs only that region.
+`buchi_conjunction` also builds the product's buchi template from the same
+solve and projects it back to the base game by union over counter values (a
+sound memoryless weakening of the finite-memory product template).
 """
 
 from __future__ import annotations
@@ -112,8 +114,7 @@ def counter_product(
     The counter advances past index c when the current base state lies in
     targets[c]; the product target is "counter at the last objective and on
     it", so visiting the product target infinitely often is equivalent to
-    visiting every base target infinitely often.  The product's moves are
-    read from the base game's successor table.
+    visiting every base target infinitely often.
     """
     k = len(targets)
     if k == 0:
@@ -227,7 +228,9 @@ def incremental_synthesize(
     previous step's merged template (`compose` is associative, so this
     equals composing the whole prefix) and reporting conflicts at each
     step.  For all-buchi prefixes the exact conjunction region is computed
-    alongside as a permissiveness reference.
+    alongside as a permissiveness reference: one solve of the prefix's
+    counter product, with no product template (the region equals the one
+    :func:`buchi_conjunction` returns).
     """
     if not objectives:
         raise InputError("incremental synthesis needs at least one objective")
