@@ -15,8 +15,6 @@ from .algebra import (
     GameMismatch,
     HeatmapRow,
     IncrementalStep,
-    UnsupportedObjective,
-    buchi_conjunction,
     compose,
     counter_product,
     heatmap_csv,
@@ -90,9 +88,8 @@ __all__ = [
     "AdaptiveRun", "Infeasible", "OpponentModel", "RewardSpec", "adapt_step",
     "run_adaptive", "update_model",
     # algebra
-    "GameMismatch", "HeatmapRow", "IncrementalStep", "UnsupportedObjective",
-    "buchi_conjunction", "compose", "counter_product", "heatmap_csv",
-    "incremental_synthesize", "run_heatmap",
+    "GameMismatch", "HeatmapRow", "IncrementalStep", "compose",
+    "counter_product", "heatmap_csv", "incremental_synthesize", "run_heatmap",
     # convert
     "ConversionStats", "NonRectangularActions", "NotAlternating",
     "TurnBasedGame", "convert", "load_turn_based", "tb_from_dict",

@@ -1,5 +1,5 @@
-"""Combining templates: conjunction by merging, exact buchi conjunctions by
-counter product, and the incremental batch harness.
+"""Combining templates: conjunction by merging, exact buchi conjunction
+regions by counter product, and the incremental batch harness.
 
 Merging is per-state union of the unsafe/colive sets and of the live group
 collections, with the winning regions intersected; it is commutative and
@@ -8,13 +8,11 @@ conflicts (a state where the union blocks everything); these are detected,
 reported, and never silently repaired.
 
 For conjunctions of pure buchi objectives the counter product gives the
-exact almost-sure region: the game is unrolled against a round-robin counter
-that advances past target i when it is visited, the product is solved once
-for its buchi objective, and the region is the base states winning at
-counter 0.  Incremental synthesis needs only that region.
-`buchi_conjunction` also builds the product's buchi template from the same
-solve and projects it back to the base game by union over counter values (a
-sound memoryless weakening of the finite-memory product template).
+exact almost-sure region, the reference that shows how much merging loses:
+the game is unrolled against a round-robin counter that advances past target
+i when it is visited, the product is solved once for its buchi objective,
+and the region is the base states winning at counter 0.  No template is
+built for the product; `incremental_synthesize` is the only caller.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from .model import (
     ObjectiveKind,
     map_tasks,
 )
-from .solvers import RankDecomposition, solve_buchi
+from .solvers import solve_buchi
 from .templates import (
     ConflictReport,
     Template,
@@ -47,12 +45,6 @@ from .templates import (
 
 class GameMismatch(InputError):
     """A template mentions states or actions the game does not have."""
-
-
-class UnsupportedObjective(InputError):
-    def __init__(self, kind: str, context: str):
-        super().__init__(f"{context} does not support {kind!r} objectives")
-        self.kind = kind
 
 
 def _merge_tag(parts: Sequence[str]) -> str:
@@ -139,61 +131,13 @@ def counter_product(
     return pg, ptarget
 
 
-def _solve_conjunction(
-    g: GameGraph, objectives: Sequence[Objective],
-) -> tuple[GameGraph, Objective, RankDecomposition, frozenset[str]]:
-    """Solve the conjunction of the buchi `objectives` once on their counter
-    product.  Returns the product, its buchi objective, the solver's
-    decomposition and the exact region: the base states winning at counter 0.
+def _conjunction_region(g: GameGraph, targets: Sequence[frozenset[str]]) -> frozenset[str]:
+    """The exact almost-sure region of the conjunction of the buchi `targets`:
+    the base states winning at counter 0 in one solve of the counter product.
     """
-    for obj in objectives:
-        if obj.kind is not ObjectiveKind.BUCHI:
-            raise UnsupportedObjective(obj.kind.value, "exact conjunction")
-    pg, ptarget = counter_product(g, [frozenset(obj.target) for obj in objectives])
-    decomp = solve_buchi(pg, ptarget)
-    region = frozenset(v for v in g.states if _product_name(v, 0) in decomp.winning)
-    return pg, Objective(ObjectiveKind.BUCHI, ptarget), decomp, region
-
-
-def buchi_conjunction(
-    g: GameGraph, objectives: Sequence[Objective],
-) -> tuple[Template, frozenset[str]]:
-    """Exact conjunction of buchi objectives.
-
-    Returns the base-game projection of the product template together with
-    the exact winning region (base states winning at counter 0).  The
-    projection unions the per-counter constraints, so it can be stricter
-    than necessary, but the winning region is exact.
-    """
-    pg, objective, decomp, winning = _solve_conjunction(g, objectives)
-    pt = template_for(pg, objective, decomp)
-    k = len(objectives)
-
-    unsafe: dict[str, frozenset[str]] = {}
-    live: dict[str, set[frozenset[str]]] = {}
-    for v in g.states:
-        s: frozenset[str] = frozenset()
-        hs: set[frozenset[str]] = set()
-        for c in range(k):
-            name = _product_name(v, c)
-            s |= pt.unsafe_at(name)
-            hs.update(pt.groups_at(name))
-        if s:
-            unsafe[v] = s
-        live[v] = hs
-    cells = {
-        frozenset(name.rsplit("@", 1)[0] for name in cell)
-        for cell in pt.partition if cell
-    }
-    projected = Template(
-        winning=winning,
-        unsafe=unsafe,
-        live={v: canonical_groups(hs) for v, hs in live.items()},
-        partition=tuple(sorted(cells, key=sorted)),
-        colive={},
-        objective_tag=_merge_tag(["buchi"] * k),
-    )
-    return projected, winning
+    pg, ptarget = counter_product(g, targets)
+    winning = solve_buchi(pg, ptarget).winning
+    return frozenset(v for v in g.states if _product_name(v, 0) in winning)
 
 
 # -- incremental synthesis -----------------------------------------------------
@@ -229,8 +173,9 @@ def incremental_synthesize(
     equals composing the whole prefix) and reporting conflicts at each
     step.  For all-buchi prefixes the exact conjunction region is computed
     alongside as a permissiveness reference: one solve of the prefix's
-    counter product, with no product template (the region equals the one
-    :func:`buchi_conjunction` returns).
+    counter product.  A one-objective prefix needs no product, since its
+    one-counter product is the base game renamed ``v@0``: its region is the
+    new template's winning region.
     """
     if not objectives:
         raise InputError("incremental synthesis needs at least one objective")
@@ -241,7 +186,8 @@ def incremental_synthesize(
         merged, report = compose(g, [t] if merged is None else [merged, t])
         exact: Optional[frozenset[str]] = None
         if all(o.kind is ObjectiveKind.BUCHI for o in objectives[:i]):
-            exact = _solve_conjunction(g, objectives[:i])[3]
+            exact = t.winning if i == 1 else _conjunction_region(
+                g, [o.target for o in objectives[:i]])
         steps.append(IncrementalStep(i, obj, merged, report, exact))
     return steps
 

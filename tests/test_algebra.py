@@ -15,8 +15,6 @@ from congame import (
     Objective,
     ObjectiveKind,
     Template,
-    UnsupportedObjective,
-    buchi_conjunction,
     check_compliance,
     check_conflict_free,
     compose,
@@ -29,6 +27,7 @@ from congame import (
     solve_buchi,
     template_for,
 )
+from congame.algebra import _conjunction_region
 
 from .conftest import game_graphs
 from .oracles import oracle_solve_buchi
@@ -203,27 +202,19 @@ class TestCounterProduct:
 class TestBuchiConjunction:
     def test_incompatible_targets_empty_region(self, buchi_game):
         # visiting the absorbing C infinitely often forbids revisiting A
-        t, winning = buchi_conjunction(
+        steps = incremental_synthesize(
             buchi_game,
             [Objective(ObjectiveKind.BUCHI, frozenset({"C"})),
              Objective(ObjectiveKind.BUCHI, frozenset({"A"}))])
-        assert winning == frozenset()
-        assert t.winning == frozenset()
+        assert steps[-1].exact_winning == frozenset()
 
     def test_single_objective_matches_direct_solution(self, buchi_game):
-        base = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
-        proj, winning = buchi_conjunction(
-            buchi_game, [Objective(ObjectiveKind.BUCHI, frozenset({"C"}))])
-        assert winning == base.winning
-        assert dict(proj.live) == dict(base.live)
-        assert dict(proj.unsafe) == dict(base.unsafe)
-        assert set(proj.partition) == set(base.partition)
-
-    def test_rejects_non_buchi(self, buchi_game):
-        with pytest.raises(UnsupportedObjective):
-            buchi_conjunction(
-                buchi_game,
-                [Objective(ObjectiveKind.SAFETY, frozenset({"C"}))])
+        # a one-objective prefix takes its region from the template; the
+        # one-counter product must agree with it
+        obj = Objective(ObjectiveKind.BUCHI, frozenset({"C"}))
+        base = solve_buchi(buchi_game, obj.target).winning
+        assert incremental_synthesize(buchi_game, [obj])[-1].exact_winning == base
+        assert _conjunction_region(buchi_game, [obj.target]) == base
 
     @given(games_with_buchi_pair())
     @settings(max_examples=25)
@@ -231,7 +222,7 @@ class TestBuchiConjunction:
         g, tgt1, tgt2 = gtt
         objs = [Objective(ObjectiveKind.BUCHI, tgt1),
                 Objective(ObjectiveKind.BUCHI, tgt2)]
-        _, exact = buchi_conjunction(g, objs)
+        exact = incremental_synthesize(g, objs)[-1].exact_winning
         merged, _ = compose(
             g, [template_for(g, Objective(ObjectiveKind.BUCHI, frozenset(tgt1))),
                 template_for(g, Objective(ObjectiveKind.BUCHI, frozenset(tgt2)))])
@@ -267,8 +258,8 @@ class TestIncremental:
     @given(games_with_targets())
     @settings(max_examples=40)
     def test_exact_region_is_the_products_counter_zero(self, gts):
-        # the conjunction region, the product's own solve and the brute-force
-        # solve on the product agree for every all-buchi prefix
+        # the conjunction region equals the brute-force solve on the product
+        # for every all-buchi prefix
         g, targets = gts
         objs = [Objective(ObjectiveKind.BUCHI, t) for t in targets]
         steps = incremental_synthesize(g, objs)
@@ -276,7 +267,7 @@ class TestIncremental:
             pg, ptarget = counter_product(g, targets[:k])
             oracle, _ = oracle_solve_buchi(pg, ptarget)
             expected = frozenset(v for v in g.states if f"{v}@0" in oracle)
-            assert step.exact_winning == buchi_conjunction(g, objs[:k])[1] == expected
+            assert step.exact_winning == expected
 
     def test_steps_accumulate(self, buchi_game):
         objs = [Objective(ObjectiveKind.BUCHI, frozenset({"C"})),

@@ -430,6 +430,11 @@ class TestIncrementalCli:
         assert lines[0] == "objective_size,objectives_added,conflict_fraction"
         assert len(lines) == 5
 
+    def test_matches_golden(self, capsys):
+        code, out = run(capsys, "incremental", "--games", "60")
+        assert code == 0
+        assert out == golden_text("incremental_games60.csv")
+
 
 class TestJobs:
     @pytest.mark.parametrize("jobs", ["0", "-3"])
