@@ -7,17 +7,22 @@ strategy extracted from the template up front. Reports the mean reward
 collected by each controller and the number of template violations the
 adapter incurred (zero means every adapted move stayed inside the
 template's permissions).
+
+A missing or malformed input file, or one that names a state or action the
+game lacks, ends with ``error: <message>`` on stderr and exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
+import sys
 from pathlib import Path
 
 from congame import (
+    CongameError,
     FixedSchedule,
+    InputError,
     RewardSpec,
     extract_strategy,
     load_game,
@@ -25,12 +30,37 @@ from congame import (
     simulate,
     template_for,
 )
+from congame.model import read_json
 
 REPO = Path(__file__).resolve().parents[1]
 
 
-def load_opponent(path: Path) -> FixedSchedule:
-    return FixedSchedule.from_dict(json.loads(path.read_text(encoding="utf-8")))
+def play_pairs(args: argparse.Namespace) -> tuple[list[float], list[float], int]:
+    """Per seed pair, the adaptive and the fixed controller's total reward;
+    and the adapter's template violations over all pairs."""
+    g, obj = load_game(str(args.game))
+    if obj is None:
+        raise InputError(f"{args.game} carries no objective")
+    reward = RewardSpec.from_dict(read_json(str(args.reward)), g)
+    opponent = FixedSchedule.from_dict(read_json(str(args.opponent)), g)
+    template = template_for(g, obj)
+    fixed_strategy = extract_strategy(g, template)
+
+    adaptive_totals = []
+    fixed_totals = []
+    violations = 0
+    for i in range(args.pairs):
+        seed = args.seed + i
+        outcome = run_adaptive(g, template, reward, opponent,
+                               horizon=args.horizon, seed=seed,
+                               start=args.start)
+        violations += outcome.violations
+        adaptive_totals.append(outcome.total_reward)
+        (log,) = simulate(g, fixed_strategy, opponent, horizon=args.horizon,
+                          episodes=1, seed=seed, start=args.start)
+        fixed_totals.append(
+            sum(reward.at(nxt) for *_, nxt in log.steps))
+    return adaptive_totals, fixed_totals, violations
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -52,30 +82,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed, pair i uses seed+i (default 0)")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
 
-    g, obj = load_game(str(args.game))
-    if obj is None:
-        parser.error(f"{args.game} carries no objective")
-    template = template_for(g, obj)
-    fixed_strategy = extract_strategy(g, template)
-    reward = RewardSpec.from_dict(
-        json.loads(args.reward.read_text(encoding="utf-8")), g)
-    opponent = load_opponent(args.opponent)
-
-    adaptive_totals = []
-    fixed_totals = []
-    violations = 0
-    for i in range(args.pairs):
-        seed = args.seed + i
-        outcome = run_adaptive(g, template, reward, opponent,
-                               horizon=args.horizon, seed=seed,
-                               start=args.start)
-        violations += outcome.violations
-        adaptive_totals.append(outcome.total_reward)
-        (log,) = simulate(g, fixed_strategy, opponent, horizon=args.horizon,
-                          episodes=1, seed=seed, start=args.start)
-        fixed_totals.append(
-            sum(reward.at(nxt) for *_, nxt in log.steps))
+    try:
+        adaptive_totals, fixed_totals, violations = play_pairs(args)
+    except (CongameError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
     mean_adaptive = statistics.fmean(adaptive_totals)
     mean_fixed = statistics.fmean(fixed_totals)

@@ -24,7 +24,6 @@ from .model import (
     GameGraph,
     InputError,
     UnknownAction,
-    UnknownState,
     _all_finite,
 )
 from .strategies import Opponent, _sample
@@ -52,9 +51,8 @@ class RewardSpec:
     def from_dict(raw: Mapping, g: Optional[GameGraph] = None) -> "RewardSpec":
         if not (isinstance(raw, Mapping) and _all_finite(raw.values())):
             raise InputError("reward spec must map states to finite numbers")
-        for v in raw:
-            if g is not None and v not in g:
-                raise UnknownState(v)
+        if g is not None:
+            g.mask(raw)
         return RewardSpec({v: float(w) for v, w in raw.items()})
 
     def to_dict(self) -> dict:
@@ -78,8 +76,7 @@ class OpponentModel:
 
 
 def update_model(g: GameGraph, m: OpponentModel, v: str, b: str) -> OpponentModel:
-    if b not in g.p2_actions(v):
-        raise UnknownAction(v, b, player=2)
+    g.action_mask(v, (b,), player=2)
     counts = {u: dict(row) for u, row in m.counts.items()}
     row = counts.setdefault(v, {})
     row[b] = row.get(b, 0) + 1
@@ -258,8 +255,7 @@ def run_adaptive(
     """
     if start is None:
         start = g.states[0]
-    if start not in g:
-        raise UnknownState(start)
+    g.index(start)
     if horizon < 0:
         raise InputError("horizon must be nonnegative")
     check_weight_params(eps_live, colive_base)

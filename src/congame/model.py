@@ -213,11 +213,8 @@ class GameGraph:
     def _check_delta(self, delta: Mapping[tuple[str, str, str], str]) -> None:
         """Raise for the first entry naming an unknown state or action."""
         for (v, a, b), w in delta.items():
-            vi = self.index(v)
-            if a not in self._p1_offset[vi]:
-                raise UnknownAction(v, a, player=1)
-            if b not in self._p2_index[vi]:
-                raise UnknownAction(v, b, player=2)
+            self.action_mask(v, (a,))
+            self.action_mask(v, (b,), player=2)
             self.index(w)
 
     # -- basic accessors -------------------------------------------------
@@ -234,6 +231,21 @@ class GameGraph:
             return self._index[state]
         except KeyError:
             raise UnknownState(state) from None
+
+    def action_mask(self, state: str, actions: Iterable[str], player: int = 1) -> int:
+        """The mask of `actions` at `state`, bit i standing for the i-th
+        action of :meth:`p1_actions` (:meth:`p2_actions` for player 2);
+        raises for an unknown state or the first unknown action."""
+        vi = self.index(state)
+        place, k = ((self._p1_offset[vi], len(self._p2[vi])) if player == 1
+                    else (self._p2_index[vi], 1))
+        m = 0
+        for a in actions:
+            try:
+                m |= 1 << place[a] // k
+            except KeyError:
+                raise UnknownAction(state, a, player=player) from None
+        return m
 
     def p1_actions(self, state: str) -> tuple[str, ...]:
         return self._p1[self.index(state)]
@@ -454,9 +466,7 @@ def parse_objective(raw: Mapping, g: GameGraph) -> Objective:
     if not _names_in((raw["target"],)):
         raise InputError("objective target must be a list of strings")
     target = frozenset(raw["target"])
-    for s in target:
-        if s not in g:
-            raise UnknownState(s)
+    g.mask(target)
     return Objective(kind, target)
 
 

@@ -32,17 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from typing import Optional
 
-from .model import GameGraph, NonConvergence, UnknownAction
-
-
-def _action_mask(names: tuple[str, ...], v: str, actions: Iterable[str], player: int) -> int:
-    idx = {a: i for i, a in enumerate(names)}
-    m = 0
-    for a in actions:
-        if a not in idx:
-            raise UnknownAction(v, a, player=player)
-        m |= 1 << idx[a]
-    return m
+from .model import GameGraph, NonConvergence
 
 
 def a_set_mask(g: GameGraph, vi: int, y_mask: int, gamma2_mask: int) -> int:
@@ -170,17 +160,13 @@ def afpre1_mask(
 # -- name-level API ----------------------------------------------------------
 
 def a_set(g: GameGraph, v: str, Y: Iterable[str], gamma2: Iterable[str]) -> frozenset[str]:
-    vi = g.index(v)
-    names = g.p1_names(vi)
-    m = a_set_mask(g, vi, g.mask(Y), _action_mask(g.p2_names(vi), v, gamma2, 2))
-    return frozenset(a for i, a in enumerate(names) if m >> i & 1)
+    m = a_set_mask(g, g.index(v), g.mask(Y), g.action_mask(v, gamma2, player=2))
+    return frozenset(a for i, a in enumerate(g.p1_actions(v)) if m >> i & 1)
 
 
 def b_set(g: GameGraph, v: str, X: Iterable[str], gamma1: Iterable[str]) -> frozenset[str]:
-    vi = g.index(v)
-    names = g.p2_names(vi)
-    m = b_set_mask(g, vi, g.mask(X), _action_mask(g.p1_names(vi), v, gamma1, 1))
-    return frozenset(b for i, b in enumerate(names) if m >> i & 1)
+    m = b_set_mask(g, g.index(v), g.mask(X), g.action_mask(v, gamma1))
+    return frozenset(b for i, b in enumerate(g.p2_actions(v)) if m >> i & 1)
 
 
 def pre1(g: GameGraph, X: Iterable[str]) -> frozenset[str]:

@@ -27,15 +27,15 @@ the states whose membership can change.  Two facts select them:
   argument, so along a decreasing chain a state once removed never comes
   back, and along an increasing chain a state once added never leaves.
 
-Hence a decreasing loop (safety, the safety core, the cobuchi Y loop)
-re-checks only members of Xk that are predecessors of the states just
-removed, and an increasing loop (the buchi chain, the cobuchi terms that
-grow with the current rank) checks only non-members that are predecessors
-of the states just added.  Predecessors come from the game's predecessor
-index (``g.pred_mask``).  The iterates, the number of rounds and thus the
-rank chains are identical to the synchronous rounds; only the number of
-per-state evaluations falls, from |V| per round to the predecessors of
-what changed.
+Hence a decreasing loop (safety, the safety core, the cobuchi Y loop, all
+three run by :func:`_shrink`) re-checks only members of Xk that are
+predecessors of the states just removed, and an increasing loop (the buchi
+chain, the cobuchi terms that grow with the current rank) checks only
+non-members that are predecessors of the states just added.
+Predecessors come from the game's predecessor index (``g.pred_mask``).
+The iterates, the number of rounds and thus the rank chains are identical
+to the synchronous rounds; only the number of per-state evaluations falls,
+from |V| per round to the predecessors of what changed.
 """
 
 from __future__ import annotations
@@ -146,9 +146,10 @@ def solve_cobuchi(g: GameGraph, target: Iterable[str]) -> RankDecomposition:
     Per rank the next element is the greatest Y with
     Y = cur | (I & Z & afpre1(Z, Y, cur)) | (~I & Z & apre1(Z, cur)).
     The apre1 term and the afpre1 term at Y = Z do not depend on Y; both are
-    kept across ranks and grown as `cur` grows.  The Y loop then starts from
-    the afpre1 term at Y = Z and drops only members that are predecessors of
-    the states removed from Y.
+    kept across ranks and grown as `cur` grows.  The Y loop is
+    :func:`_shrink` from the iterate at Y = Z, ``cur | ap | af_top``: its
+    first round re-checks every afpre1 member outside ``cur | ap``, later
+    rounds only those that are predecessors of the states removed from Y.
     """
     i_mask = g.mask(target)
     not_i = g.full_mask & ~i_mask
@@ -162,19 +163,8 @@ def solve_cobuchi(g: GameGraph, target: Iterable[str]) -> RankDecomposition:
         af_top = afpre1_mask(g, z, z, cur, i_z)
         for _ in range(g.n_states + 1):
             base = cur | ap
-            af = af_top
-            y = z
-            for _ in range(g.n_states + 1):
-                ny = base | af
-                if ny == y:
-                    break
-                cand = af & ~base
-                if cand:
-                    cand &= g.pred_mask(y & ~ny)
-                    af &= ~(cand & ~afpre1_mask(g, z, ny, cur, cand))
-                y = ny
-            else:
-                raise NonConvergence("cobuchi rank fixpoint")
+            y = _shrink(g, base | af_top, lambda x, cand: base | afpre1_mask(
+                g, z, x, cur, cand & ~base), "cobuchi rank fixpoint")
             if y == cur:
                 break
             chain.append(y)

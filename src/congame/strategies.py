@@ -34,7 +34,6 @@ from .model import (
     InputError,
     Objective,
     ObjectiveKind,
-    UnknownAction,
     UnknownState,
     _all_finite,
     _all_of,
@@ -160,12 +159,7 @@ def validate_strategy(g: GameGraph, s: ScheduleStrategy) -> None:
         if v not in s.schedules:
             raise UnknownState(v)
     for v, table in s.schedules.items():
-        if v not in g:
-            raise UnknownState(v)
-        allowed = set(g.p1_actions(v))
-        for a in table:
-            if a not in allowed:
-                raise UnknownAction(v, a)
+        g.action_mask(v, table)
 
 
 # -- extraction --------------------------------------------------------------
@@ -319,15 +313,13 @@ def verify_memoryless(g: GameGraph, s: ScheduleStrategy, objective: Objective) -
     """
     validate_strategy(g, s)
     gamma1 = []
-    for vi, v in enumerate(g.states):
+    for v in g.states:
         for a, sched in s.schedules[v].items():
             if not isinstance(sched, Constant):
                 raise NonConstantSchedule(v, a)
-        support = s.distribution(v, 0).support
-        gamma1.append(sum(1 << i for i, a in enumerate(g.p1_names(vi)) if a in support))
+        gamma1.append(g.action_mask(v, s.distribution(v, 0).support))
     keeps = partial(pre2_mask, g, gamma1)
-    # target states outside the game are ignored
-    not_t = g.full_mask & ~g.mask(filter(g.__contains__, objective.target))
+    not_t = g.full_mask & ~g.mask(objective.target)
 
     def reach(y: int, x: int) -> int:
         """`x` plus the states of `y` that reach it along supports inside `y`."""
@@ -399,9 +391,7 @@ class FixedSchedule:
         if d is None:
             return g.p2_actions(v)[0]
         if (g, v) not in self._checked:
-            for b in d.support:
-                if b not in g.p2_actions(v):
-                    raise UnknownAction(v, b, player=2)
+            g.action_mask(v, d.support, player=2)
             self._checked.add((g, v))
         return _sample(rng, d)
 
@@ -521,12 +511,9 @@ def simulate(
     validate_strategy(g, s)
     if start is None:
         start = g.states[0]
-    if start not in g:
-        raise UnknownState(start)
+    g.index(start)
     tgt = frozenset(target)
-    for u in tgt:
-        if u not in g:
-            raise UnknownState(u)
+    g.mask(tgt)
     if horizon < 0 or episodes < 0:
         raise InputError("horizon and episodes must be nonnegative")
     tasks = [

@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .model import (
@@ -47,8 +48,6 @@ from .model import (
     InputError,
     Objective,
     ObjectiveKind,
-    UnknownAction,
-    UnknownState,
     _names_in,
 )
 from .operators import a_set_mask
@@ -138,25 +137,12 @@ def template_from_dict(raw: Mapping) -> Template:
 
 def validate_template(g: GameGraph, t: Template) -> None:
     """Check that every state/action the template mentions exists in `g`."""
-    for v in t.winning:
-        if v not in g:
-            raise UnknownState(v)
-    for table, player in ((t.unsafe, 1), (t.colive, 1)):
-        for v, acts in table.items():
-            allowed = set(g.p1_actions(v))
-            for a in acts:
-                if a not in allowed:
-                    raise UnknownAction(v, a, player=player)
+    g.mask(t.winning)
+    for v, acts in chain(t.unsafe.items(), t.colive.items()):
+        g.action_mask(v, acts)
     for v, hs in t.live.items():
-        allowed = set(g.p1_actions(v))
-        for h in hs:
-            for a in h:
-                if a not in allowed:
-                    raise UnknownAction(v, a)
-    for cell in t.partition:
-        for v in cell:
-            if v not in g:
-                raise UnknownState(v)
+        g.action_mask(v, chain.from_iterable(hs))
+    g.mask(chain.from_iterable(t.partition))
 
 
 def check_weight_params(eps_live: float, colive_base: float) -> None:

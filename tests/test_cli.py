@@ -307,6 +307,9 @@ class TestBadInputsCli:
         (["extract", BUCHI, "{f}"], '{"winning": ["A", "B"], "partition": ["B"], '
          '"live": {}, "objective_tag": "buchi"}',
          "template partition must be a list of lists of strings"),
+        (["extract", BUCHI, "{f}"], '{"winning": [], "live": {"ZZ": []}, "partition": [], '
+         '"objective_tag": "buchi"}',
+         "unknown state 'ZZ'"),
         (["adapt", COBUCHI, "{f}"], '{"S0": "x"}', "reward spec must map states to finite numbers"),
         (["adapt", COBUCHI, "{f}"], '{"S0": "1.5"}', "reward spec must map states to finite numbers"),
         (["adapt", COBUCHI, "{f}"], '{"S0": NaN}', "reward spec must map states to finite numbers"),
@@ -329,7 +332,7 @@ class TestBadInputsCli:
     ], ids=["opponent-list", "opponent-string-row", "opponent-nan", "opponent-numeric-string",
             "strategy-list-row", "strategy-constant-without-p", "strategy-nan-p",
             "strategy-infinite-c", "template-live-list", "template-string-winning",
-            "template-string-cells", "reward-string", "reward-numeric-string", "reward-nan",
+            "template-string-cells", "template-empty-live-entry", "reward-string", "reward-numeric-string", "reward-nan",
             "adapt-eps-live-nan", "adapt-colive-base-negative", "adapt-alpha-zero",
             "extract-colive-base-inf", "incremental-sizes-letter", "incremental-sizes-empty",
             "incremental-sizes-zero", "game-nested-too-deeply", "strategy-nested-too-deeply"])

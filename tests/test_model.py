@@ -148,6 +148,23 @@ class TestConstruction:
         with pytest.raises(UnknownState):
             g.succ("Z", "a", "d")
 
+    def test_action_mask_in_action_order(self):
+        g = validate_game(tiny_raw())
+        assert g.action_mask("A", ["b"]) == 0b10
+        assert g.action_mask("A", ("b", "a")) == 0b11
+        assert g.action_mask("B", ["e"], player=2) == 0b10
+        assert g.action_mask("B", ()) == 0
+
+    def test_action_mask_unknown_names(self):
+        g = validate_game(tiny_raw())
+        # the state is checked even when no action is named
+        with pytest.raises(UnknownState, match="^unknown state 'Z'$"):
+            g.action_mask("Z", ())
+        for player, acts, first in ((1, ["a", "d", "z"], "d"), (2, ["e", "z", "a"], "z")):
+            with pytest.raises(UnknownAction) as e:
+                g.action_mask("B", acts, player=player)
+            assert (e.value.state, e.value.action, e.value.player) == ("B", first, player)
+
 
 class TestMasks:
     def test_round_trip(self):

@@ -363,6 +363,11 @@ class TestVerifyMemoryless:
         assert verify_memoryless(cobuchi_game, s, cobuchi_objective) \
             == frozenset(cobuchi_game.states)
 
+    def test_unknown_target_state(self, buchi_game):
+        s = all_constant({v: {"a": 1.0} for v in buchi_game.states})
+        with pytest.raises(UnknownState, match="^unknown state 'zz'$"):
+            verify_memoryless(buchi_game, s, Objective(ObjectiveKind.BUCHI, frozenset({"zz"})))
+
     def test_requires_constant_schedules(self, buchi_game, buchi_objective):
         s = load_strategy("strategy_buchi_nonmax.json")
         with pytest.raises(NonConstantSchedule):
