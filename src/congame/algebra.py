@@ -20,12 +20,10 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional
 
 from .corpus import random_game, random_subset
 from .model import (
-    CongameError,
     GameGraph,
     InputError,
     Objective,
@@ -107,28 +105,27 @@ def counter_product(
     targets[c]; the product target is "counter at the last objective and on
     it", so visiting the product target infinitely often is equivalent to
     visiting every base target infinitely often.
+
+    The product is built from the base game's successor table: copy c of
+    state v maps v's row through the product indices of the copies at v's
+    next counter value, and shares v's actions.
     """
     k = len(targets)
     if k == 0:
         raise InputError("counter product needs at least one target")
-    names = [[_product_name(v, c) for c in range(k)] for v in g.states]
-    p1: dict[str, tuple[str, ...]] = {}
-    p2: dict[str, tuple[str, ...]] = {}
-    moves = []
-    for vi, v in enumerate(g.states):
-        offset, row = g.succ_row(v)
-        acts1, acts2 = g.p1_names(vi), g.p2_names(vi)
-        for c, name in enumerate(names[vi]):
-            p1[name], p2[name] = acts1, acts2
-            nxt_c = (c + 1) % k if v in targets[c] else c
-            for a, run in offset.items():
-                moves.extend(((name, a, b), names[row[run + j]][nxt_c])
-                             for j, b in enumerate(acts2))
-    pg = GameGraph.__new__(GameGraph)
-    if not pg._fill(chain.from_iterable(names), p1, p2, moves, len(moves)):
-        raise CongameError("counter product: the base game's successor table is not total")
-    ptarget = frozenset(_product_name(v, k - 1) for v in targets[k - 1])
-    return pg, ptarget
+    n = g.n_states
+    # copy c of base state vi is entry c * n + vi; the product keeps its states sorted
+    names = [_product_name(v, c) for c in range(k) for v in g.states]
+    order = sorted(range(k * n), key=names.__getitem__)
+    flat = sorted(range(k * n), key=order.__getitem__)  # entry -> product index
+    at = [flat[c * n:(c + 1) * n] for c in range(k)]
+    # per copy of vi, the column of its copies at the next counter value
+    col = [[at[(c + 1) % k if v in targets[c] else c] for v in g.states] for c in range(k)]
+    rows = [g.succ_row(v)[1] for v in g.states]
+    of = [j % n for j in order]
+    succ = [list(map(col[j // n][vi].__getitem__, rows[vi])) for j, vi in zip(order, of)]
+    pg = GameGraph._copies(g, list(map(names.__getitem__, order)), of, succ)
+    return pg, frozenset(_product_name(v, k - 1) for v in targets[k - 1])
 
 
 def _conjunction_region(g: GameGraph, targets: Sequence[frozenset[str]]) -> frozenset[str]:

@@ -105,7 +105,8 @@ class GameGraph:
 
     Construct via :func:`validate_game` (raw mapping) or directly from
     canonical pieces; both fill the successor table in one pass
-    (:meth:`_fill`) and enforce totality of the transition function.
+    (:meth:`_fill`) and enforce totality of the transition function.  The
+    counter product copies a valid game's table (:meth:`_copies`).
 
     The operators run on an index that extraction and compliance checking
     never read, so it is built on first use: the views below read its slots
@@ -178,6 +179,19 @@ class GameGraph:
             return False
         # with as many moves as slots, a duplicate leaves a slot unfilled
         return n_moves == sum(map(len, succ)) and not any(-1 in row for row in succ)
+
+    @classmethod
+    def _copies(cls, base: GameGraph, states: Sequence[str], of: Sequence[int],
+                succ: list[list[int]]) -> GameGraph:
+        """The game whose state ``states[i]`` (sorted and distinct, not checked)
+        copies base state ``of[i]``, sharing its actions, with successor row
+        ``succ[i]``."""
+        g = cls.__new__(cls)
+        g.states, g._succ = tuple(states), succ
+        g._index = dict(zip(g.states, range(len(succ))))
+        g._p1, g._p2, g._p1_offset, g._p2_index = (
+            [col[i] for i in of] for col in (base._p1, base._p2, base._p1_offset, base._p2_index))
+        return g
 
     def _build_index(self) -> GameGraph:
         """Fill the operator index from the successor table; returns self."""

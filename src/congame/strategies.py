@@ -112,17 +112,10 @@ class ScheduleStrategy:
             {a: w / total for a, w in weights.items() if w > 0.0})
 
     def to_dict(self) -> dict:
-        out: dict = {}
-        for v in sorted(self.schedules):
-            row: dict = {}
-            for a in sorted(self.schedules[v]):
-                s = self.schedules[v][a]
-                if isinstance(s, Constant):
-                    row[a] = {"kind": "constant", "p": s.p}
-                else:
-                    row[a] = {"kind": "geometric", "c": s.c, "r": s.r}
-            out[v] = row
-        return out
+        return {v: {a: {"kind": "constant", "p": s.p} if isinstance(s, Constant)
+                    else {"kind": "geometric", "c": s.c, "r": s.r}
+                    for a, s in sorted(row.items())}
+                for v, row in sorted(self.schedules.items())}
 
 
 def strategy_from_dict(raw: Mapping) -> ScheduleStrategy:
@@ -381,9 +374,8 @@ class FixedSchedule:
         if not (isinstance(raw, Mapping) and _all_of(dict, raw.values())
                 and _all_finite(chain.from_iterable(map(dict.values, raw.values())))):
             raise InputError("opponent must map states to JSON objects of finite weights")
-        for v in raw:
-            if g is not None and v not in g:
-                raise InputError(f"opponent file mentions unknown state {v!r}")
+        if g is not None:
+            g.mask(raw)
         return FixedSchedule({v: ActionDistribution.from_mapping(row) for v, row in raw.items()})
 
     def pick(self, g: GameGraph, v: str, d1: ActionDistribution, rng: random.Random) -> str:

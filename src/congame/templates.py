@@ -121,16 +121,12 @@ def template_from_dict(raw: Mapping) -> Template:
             raise InputError(f"template {key} must map states to {inner}")
     if not isinstance(raw["objective_tag"], str):
         raise InputError("template objective_tag must be a string")
-    unsafe = {v: frozenset(s) for v, s in raw.get("unsafe", {}).items() if s}
-    colive = {v: frozenset(c) for v, c in raw.get("colive", {}).items() if c}
-    live = {v: canonical_groups(hs) for v, hs in raw["live"].items()}
-    partition = tuple(frozenset(cell) for cell in raw["partition"])
     return Template(
         winning=frozenset(raw["winning"]),
-        unsafe=unsafe,
-        live=live,
-        partition=partition,
-        colive=colive,
+        unsafe={v: frozenset(s) for v, s in raw.get("unsafe", {}).items() if s},
+        live={v: canonical_groups(hs) for v, hs in raw["live"].items()},
+        partition=tuple(frozenset(cell) for cell in raw["partition"]),
+        colive={v: frozenset(c) for v, c in raw.get("colive", {}).items() if c},
         objective_tag=raw["objective_tag"],
     )
 

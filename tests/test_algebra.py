@@ -20,12 +20,14 @@ from congame import (
     compose,
     counter_product,
     extract_strategy,
+    game_to_dict,
     heatmap_csv,
     incremental_synthesize,
     random_game,
     run_heatmap,
     solve_buchi,
     template_for,
+    validate_game,
 )
 from congame.algebra import _conjunction_region
 
@@ -177,6 +179,32 @@ class TestCounterProduct:
         assert pg.states[:3] == ("q0@0", "q0@1", "q0@10")
         assert ptarget == ref_target == {"q1@10"}
         assert_same_arena(pg, ref)
+
+    def test_base_names_with_at_and_digits(self):
+        # the product's order is not (state, counter) order: the copies of
+        # "a0" sort first, and the copies of "a@1" sort between copies 10 and 2 of "a"
+        raw = game_to_dict(random_game(random.Random(7), n_states=4))
+        new = dict(zip(raw["states"], ("a", "a@1", "a0", "b")))
+        g = validate_game({
+            "states": list(new.values()),
+            "p1_actions": {new[v]: acts for v, acts in raw["p1_actions"].items()},
+            "p2_actions": {new[v]: acts for v, acts in raw["p2_actions"].items()},
+            "transitions": [dict(t, **{"from": new[t["from"]], "to": new[t["to"]]})
+                            for t in raw["transitions"]]})
+        targets = [frozenset({g.states[c % 4], g.states[c % 3]}) for c in range(11)]
+        pg, ptarget = counter_product(g, targets)
+        ref, ref_target = reference_counter_product(g, targets)
+        assert pg.states[10:15] == ("a0@9", "a@0", "a@1", "a@10", "a@1@0")
+        assert ptarget == ref_target
+        assert_same_arena(pg, ref)
+
+    def test_builds_no_operator_index(self):
+        g = random_game(random.Random(4), n_states=3)
+        pg, _ = counter_product(g, [frozenset(g.states[:1]), frozenset(g.states[1:])])
+        slots = ("_row_masks", "_row_pairs", "_pred")
+        assert not any(hasattr(game, slot) for game in (g, pg) for slot in slots)
+        pg.succ_masks(0)
+        assert all(hasattr(pg, slot) and not hasattr(g, slot) for slot in slots)
 
     def test_single_target_mirrors_base(self, buchi_game):
         pg, ptarget = counter_product(buchi_game, [frozenset({"C"})])

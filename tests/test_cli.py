@@ -290,6 +290,8 @@ class TestBadInputsCli:
         (["simulate", COBUCHI, str(GAMES / "strategy_cobuchi_nonmax.json"), *OPP_ARGS, "{f}"],
          '{"S2": {"d": "0.5", "e": 0.5}}',
          "opponent must map states to JSON objects of finite weights"),
+        (["simulate", COBUCHI, STRAT_C, *OPP_ARGS, "{f}"], '{"ZZ": {"d": 1.0}}',
+         "unknown state 'ZZ'"),
         (["verify", COBUCHI, "{f}"], '{"S0": [1]}',
          "strategy must map states to JSON objects of schedules"),
         (["verify", COBUCHI, "{f}"], '{"S0": {"a": {"kind": "constant"}}}',
@@ -330,8 +332,8 @@ class TestBadInputsCli:
         (["verify", COBUCHI, "{f}"], "[" * 100_000 + "]" * 100_000,
          "{f}: invalid JSON: nested too deeply"),
     ], ids=["opponent-list", "opponent-string-row", "opponent-nan", "opponent-numeric-string",
-            "strategy-list-row", "strategy-constant-without-p", "strategy-nan-p",
-            "strategy-infinite-c", "template-live-list", "template-string-winning",
+            "opponent-unknown-state", "strategy-list-row", "strategy-constant-without-p",
+            "strategy-nan-p", "strategy-infinite-c", "template-live-list", "template-string-winning",
             "template-string-cells", "template-empty-live-entry", "reward-string", "reward-numeric-string", "reward-nan",
             "adapt-eps-live-nan", "adapt-colive-base-negative", "adapt-alpha-zero",
             "extract-colive-base-inf", "incremental-sizes-letter", "incremental-sizes-empty",

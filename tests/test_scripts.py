@@ -29,7 +29,7 @@ def test_adaptation_benchmark_runs_without_violations(capsys):
     ("--reward", '{"S0": 1.0', "{f}: invalid JSON: "),
     ("--reward", None, "[Errno 2] No such file or directory: '{f}'"),
     ("--opponent", '{"S2": {"d": 1.0', "{f}: invalid JSON: "),
-    ("--opponent", '{"ZZ": {"d": 1.0}}', "opponent file mentions unknown state 'ZZ'"),
+    ("--opponent", '{"ZZ": {"d": 1.0}}', "unknown state 'ZZ'"),
     ("--opponent", '{"S2": {"zz": 1.0}}', "unknown player-2 action 'zz' at state 'S2'"),
 ], ids=["reward-bad-json", "reward-missing", "opponent-bad-json", "opponent-other-game",
         "opponent-unknown-action"])
