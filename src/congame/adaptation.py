@@ -48,11 +48,10 @@ class RewardSpec:
         return float(self.weights.get(v, 0.0))
 
     @staticmethod
-    def from_dict(raw: Mapping, g: Optional[GameGraph] = None) -> "RewardSpec":
+    def from_dict(raw: Mapping, g: GameGraph) -> "RewardSpec":
         if not (isinstance(raw, Mapping) and _all_finite(raw.values())):
             raise InputError("reward spec must map states to finite numbers")
-        if g is not None:
-            g.mask(raw)
+        g.mask(raw)
         return RewardSpec({v: float(w) for v, w in raw.items()})
 
     def to_dict(self) -> dict:

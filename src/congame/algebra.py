@@ -121,10 +121,9 @@ def counter_product(
     at = [flat[c * n:(c + 1) * n] for c in range(k)]
     # per copy of vi, the column of its copies at the next counter value
     col = [[at[(c + 1) % k if v in targets[c] else c] for v in g.states] for c in range(k)]
-    rows = [g.succ_row(v)[1] for v in g.states]
     of = [j % n for j in order]
-    succ = [list(map(col[j // n][vi].__getitem__, rows[vi])) for j, vi in zip(order, of)]
-    pg = GameGraph._copies(g, list(map(names.__getitem__, order)), of, succ)
+    cols = [col[j // n][vi] for j, vi in zip(order, of)]
+    pg = GameGraph._copies(g, list(map(names.__getitem__, order)), of, cols)
     return pg, frozenset(_product_name(v, k - 1) for v in targets[k - 1])
 
 

@@ -2,9 +2,10 @@
 
 Subcommands cover the full pipeline: solve a game, synthesize a template,
 compose templates, run the incremental batch harness, extract / check /
-verify / simulate strategies, adapt probabilities online, and convert
-turn-based games.  All outputs are byte-deterministic for a given input and
-seed.  Exit codes: 0 success, 2 input error, 3 internal non-convergence.
+verify / simulate strategies, adapt probabilities online (and compare
+that with the extracted strategy), and convert turn-based games.  All
+outputs are byte-deterministic for a given input and seed.  Exit codes: 0
+success, 2 input error, 3 internal non-convergence.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import statistics
 import sys
 from typing import Optional
 
@@ -193,6 +195,31 @@ def cmd_adapt(args) -> None:
     _write_text(run.trace_csv(), args.output)
 
 
+def cmd_compare(args) -> None:
+    if args.pairs < 1:
+        raise InputError("--pairs must be at least 1")
+    g, obj = load_game(args.game)
+    objective = _require_objective(obj, args.game)
+    reward = RewardSpec.from_dict(read_json(args.reward), g)
+    opponent = FixedSchedule.from_dict(read_json(args.opponent), g)
+    t = template_for(g, objective)
+    s = extract_strategy(g, t)
+    adaptive, fixed, violations = [], [], 0
+    for seed in range(args.seed, args.seed + args.pairs):
+        run = run_adaptive(g, t, reward, opponent,
+                           horizon=args.horizon, seed=seed, start=args.start)
+        violations += run.violations
+        adaptive.append(run.total_reward)
+        (log,) = simulate(g, s, opponent, horizon=args.horizon, episodes=1,
+                          seed=seed, start=args.start)
+        fixed.append(sum(reward.at(nxt) for *_, nxt in log.steps))
+    mean_a, mean_f = statistics.fmean(adaptive), statistics.fmean(fixed)
+    _write_text(f"pairs:            {args.pairs}\nhorizon:          {args.horizon}\n"
+                f"adaptive mean:    {mean_a:.2f}\nfixed mean:       {mean_f:.2f}\n"
+                f"lift:             {mean_a - mean_f:+.2f}\nviolations:       {violations}\n",
+                args.output)
+
+
 def cmd_convert(args) -> None:
     tb = load_turn_based(args.turn_based)
     g, objective, stats = convert(tb)
@@ -270,6 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-live", type=float, default=0.1)
     p.add_argument("--colive-base", type=float, default=0.25)
     p.add_argument("--alpha", type=float, default=1.0)
+
+    p = add("compare", cmd_compare, "compare online adaptation with the extracted strategy")
+    p.add_argument("game")
+    p.add_argument("reward")
+    p.add_argument("opponent", help="fixed opponent file: state -> action weights")
+    p.add_argument("--start", default=None)
+    p.add_argument("--pairs", type=int, default=50, help="pair i uses seed + i")
+    p.add_argument("--horizon", type=int, default=2000)
+    p.add_argument("--seed", type=int, default=0)
 
     p = add("convert", cmd_convert, "convert an alternating turn-based game to concurrent form")
     p.add_argument("turn_based")

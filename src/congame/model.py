@@ -112,14 +112,13 @@ class GameGraph:
     never read, so it is built on first use: the views below read its slots
     inside a ``try``, which costs nothing until a slot turns out empty.  Per
     state and P1 action it holds the mask of the successor states and
-    ``(successor bit, mask of the P2 actions leading there)`` pairs; per
-    state, the mask of its predecessors, which the solvers and verification
-    use to find what a changed iterate can affect.
+    ``(successor bit, mask of the P2 actions leading there)`` pairs
+    (:meth:`succ_rows`); per state, the mask of its predecessors, which the
+    solvers and verification use to find what a changed iterate can affect.
     """
 
     __slots__ = (
-        "states", "_index", "_p1", "_p2", "_p1_offset", "_p2_index", "_succ",
-        "_row_masks", "_row_pairs", "_pred",
+        "states", "_index", "_p1", "_p2", "_p1_offset", "_p2_index", "_succ", "_rows", "_pred",
     )
 
     def __init__(
@@ -182,23 +181,24 @@ class GameGraph:
 
     @classmethod
     def _copies(cls, base: GameGraph, states: Sequence[str], of: Sequence[int],
-                succ: list[list[int]]) -> GameGraph:
+                cols: Sequence[Sequence[int]]) -> GameGraph:
         """The game whose state ``states[i]`` (sorted and distinct, not checked)
-        copies base state ``of[i]``, sharing its actions, with successor row
-        ``succ[i]``."""
+        copies base state ``of[i]``, sharing its actions; its successor row is
+        the base row with each base state index ``w`` mapped to ``cols[i][w]``."""
         g = cls.__new__(cls)
-        g.states, g._succ = tuple(states), succ
-        g._index = dict(zip(g.states, range(len(succ))))
+        g.states = tuple(states)
+        g._succ = [list(map(col.__getitem__, base._succ[vi])) for col, vi in zip(cols, of)]
+        g._index = dict(zip(g.states, range(len(g.states))))
         g._p1, g._p2, g._p1_offset, g._p2_index = (
             [col[i] for i in of] for col in (base._p1, base._p2, base._p1_offset, base._p2_index))
         return g
 
     def _build_index(self) -> GameGraph:
         """Fill the operator index from the successor table; returns self."""
-        self._row_masks, self._row_pairs = [], []
+        self._rows = []
         pred = [0] * len(self.states)
         for vi, row in enumerate(self._succ):
-            masks, pairs = [], []
+            runs = []
             succ_all = 0
             k = len(self._p2[vi])
             for start in range(0, len(row), k):
@@ -211,11 +211,9 @@ class GameGraph:
                     m |= w_bit
                     by_succ[w_bit] = by_succ.get(w_bit, 0) | b_bit
                     b_bit <<= 1
-                masks.append(m)
-                pairs.append(tuple(by_succ.items()))
+                runs.append((m, tuple(by_succ.items())))
                 succ_all |= m
-            self._row_masks.append(tuple(masks))
-            self._row_pairs.append(tuple(pairs))
+            self._rows.append(tuple(runs))
             v_bit = 1 << vi
             while succ_all:
                 low = succ_all & -succ_all
@@ -309,20 +307,14 @@ class GameGraph:
 
     # -- internal index-level views used by the operators -----------------
 
-    def succ_masks(self, vi: int) -> tuple[int, ...]:
-        """Per P1 action at state `vi`, the mask of its successor states."""
+    def succ_rows(self, vi: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """Per P1 action at state `vi`, the mask of its successor states and
+        ``(successor bit, P2 action mask)`` pairs: the P2 actions in the mask
+        lead to that successor."""
         try:
-            return self._row_masks[vi]
+            return self._rows[vi]
         except AttributeError:  # an empty slot: the index is not built yet
-            return self._build_index()._row_masks[vi]
-
-    def succ_pairs(self, vi: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per P1 action at state `vi`, ``(successor bit, P2 action mask)``
-        pairs: the P2 actions in the mask lead to that successor."""
-        try:
-            return self._row_pairs[vi]
-        except AttributeError:
-            return self._build_index()._row_pairs[vi]
+            return self._build_index()._rows[vi]
 
     def pred_mask(self, m: int) -> int:
         """States with some joint action leading into the state mask `m`."""

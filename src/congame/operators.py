@@ -10,11 +10,11 @@ integer bitmasks over the game's sorted state/action indices and are what
 the fixpoint solvers call in their inner loops.
 
 The mask variants run on the successor index that :class:`GameGraph`
-builds on first use: per state and P1 action, the mask of its
-successors (``g.succ_masks``) and ``(successor bit, P2 action mask)``
-pairs (``g.succ_pairs``).  "Every successor of action a lies in Y" is then
-one test ``succ_mask & ~Y == 0``, and the P2 actions that reach X or leave
-Y are an OR over the pairs, with no per-joint-action lookups.
+builds on first use (``g.succ_rows``): per state and P1 action, the mask
+of its successors and ``(successor bit, P2 action mask)`` pairs.  "Every
+successor of action a lies in Y" is then one test ``succ_mask & ~Y == 0``,
+and the P2 actions that reach X or leave Y are an OR over the pairs, with
+no per-joint-action lookups.
 
 ``a_set_mask``, ``b_set_mask`` and ``afpre_fix_mask`` evaluate one state.
 ``pre1_mask``, ``apre1_mask`` and ``afpre1_mask`` evaluate the states of an
@@ -39,13 +39,12 @@ def a_set_mask(g: GameGraph, vi: int, y_mask: int, gamma2_mask: int) -> int:
     """P1 actions whose every successor outside Y is excused by gamma2."""
     out = 0
     outside = ~y_mask
-    pairs = g.succ_pairs(vi)
-    for ai, m in enumerate(g.succ_masks(vi)):
+    for ai, (m, pairs) in enumerate(g.succ_rows(vi)):
         if m & outside:
             if not gamma2_mask:
                 continue
             leaving = 0
-            for bit, b_mask in pairs[ai]:
+            for bit, b_mask in pairs:
                 if bit & outside:
                     leaving |= b_mask
             if leaving & ~gamma2_mask:
@@ -57,10 +56,9 @@ def a_set_mask(g: GameGraph, vi: int, y_mask: int, gamma2_mask: int) -> int:
 def b_set_mask(g: GameGraph, vi: int, x_mask: int, gamma1_mask: int) -> int:
     """P2 actions against which some P1 action from gamma1 reaches X."""
     out = 0
-    pairs = g.succ_pairs(vi)
-    for ai, m in enumerate(g.succ_masks(vi)):
+    for ai, (m, pairs) in enumerate(g.succ_rows(vi)):
         if gamma1_mask >> ai & 1 and m & x_mask:
-            for bit, b_mask in pairs[ai]:
+            for bit, b_mask in pairs:
                 if bit & x_mask:
                     out |= b_mask
     return out

@@ -191,7 +191,7 @@ def extract_strategy(
         groups = [h for h in t.groups_at(v) if h & r_acts]
         k0 = len(c_set) * colive_base
         floor = t.live_floor(v, eps_live) * (1.0 + k0)
-        if floor * len(groups) >= 0.9:
+        if not floor * len(groups) < 0.9:  # NaN (inf * 0) fails too
             raise InputError(
                 f"cannot fit live floors at {v!r}: eps_live/colive_base too large")
         weights = dict.fromkeys(sorted(r_acts), (1.0 - floor * len(groups)) / len(r_acts))
@@ -202,15 +202,16 @@ def extract_strategy(
             table[a] = Constant(w / total)
         schedules[v] = table
 
-    out = ScheduleStrategy(schedules)
-    # the floors must survive visit-0 renormalization against colive mass
+    # the floors must survive visit-0 renormalization (`distribution(v, 0)`) against colive mass
     for v in g.states:
         if v in t.winning and any(t.groups_at(v)):
-            d0, need = out.distribution(v, 0), t.live_floor(v, eps_live)
+            w0 = {a: s.p if isinstance(s, Constant) else s.c for a, s in schedules[v].items()}
+            total, need = sum(w0.values()), t.live_floor(v, eps_live)
             for h in filter(None, t.groups_at(v)):
-                if d0.mass(h) < need - 1e-12:
-                    raise LiveFloorViolation(v, h, d0.mass(h), need)
-    return out
+                mass = sum(w / total for a, w in sorted(w0.items()) if a in h)
+                if mass < need - 1e-12:
+                    raise LiveFloorViolation(v, h, mass, need)
+    return ScheduleStrategy(schedules)
 
 
 # -- compliance --------------------------------------------------------------
@@ -369,13 +370,12 @@ class FixedSchedule:
     _checked: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     @staticmethod
-    def from_dict(raw: Mapping, g: Optional[GameGraph] = None) -> "FixedSchedule":
+    def from_dict(raw: Mapping, g: GameGraph) -> "FixedSchedule":
         """Read {state: {action: weight}}; each row must be a distribution."""
         if not (isinstance(raw, Mapping) and _all_of(dict, raw.values())
                 and _all_finite(chain.from_iterable(map(dict.values, raw.values())))):
             raise InputError("opponent must map states to JSON objects of finite weights")
-        if g is not None:
-            g.mask(raw)
+        g.mask(raw)
         return FixedSchedule({v: ActionDistribution.from_mapping(row) for v, row in raw.items()})
 
     def pick(self, g: GameGraph, v: str, d1: ActionDistribution, rng: random.Random) -> str:

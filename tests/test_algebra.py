@@ -148,8 +148,7 @@ def assert_same_arena(pg, ref):
         for a in ref.p1_actions(v):
             for b in ref.p2_actions(v):
                 assert pg.succ(v, a, b) == ref.succ(v, a, b)
-        assert pg.succ_masks(vi) == ref.succ_masks(vi)
-        assert pg.succ_pairs(vi) == ref.succ_pairs(vi)
+        assert pg.succ_rows(vi) == ref.succ_rows(vi)
         assert pg.pred_mask(1 << vi) == ref.pred_mask(1 << vi)
 
 
@@ -201,9 +200,9 @@ class TestCounterProduct:
     def test_builds_no_operator_index(self):
         g = random_game(random.Random(4), n_states=3)
         pg, _ = counter_product(g, [frozenset(g.states[:1]), frozenset(g.states[1:])])
-        slots = ("_row_masks", "_row_pairs", "_pred")
+        slots = ("_rows", "_pred")
         assert not any(hasattr(game, slot) for game in (g, pg) for slot in slots)
-        pg.succ_masks(0)
+        pg.succ_rows(0)
         assert all(hasattr(pg, slot) and not hasattr(g, slot) for slot in slots)
 
     def test_single_target_mirrors_base(self, buchi_game):

@@ -271,8 +271,29 @@ class TestAdaptCli:
         assert code == 2
 
 
+class TestCompareCli:
+    def test_matches_golden(self, capsys):
+        code, out = run(capsys, "compare", COBUCHI, REWARD, OPP,
+                        "--start", "S2", "--pairs", "10", "--horizon", "500")
+        assert code == 0
+        assert out == golden_text("compare_cobuchi.txt")
+
+    def test_output_file_matches_stdout(self, capsys, tmp_path):
+        argv = ["compare", COBUCHI, REWARD, OPP, "--start", "S2", "--pairs", "2", "--horizon", "50"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[0] == "pairs:            2"
+        assert out.splitlines()[-1] == "violations:       0"
+        path = tmp_path / "compare.txt"
+        assert run(capsys, *argv, "-o", str(path)) == (0, "")
+        assert path.read_text(encoding="utf-8") == out
+
+
 OPP_ARGS = ["--opponent", "fixed", "--opponent-file"]
 TEMPLATE = '"live": {}, "partition": [], "objective_tag": "buchi"'
+COMPARE_ARGS = ["--start", "S2", "--pairs", "1", "--horizon", "5"]
+NO_OBJECTIVE = ('{"states": ["A"], "p1_actions": {"A": ["a"]}, "p2_actions": {"A": ["b"]}, '
+                '"transitions": [{"from": "A", "p1": "a", "p2": "b", "to": "A"}]}')
 
 
 class TestBadInputsCli:
@@ -331,13 +352,29 @@ class TestBadInputsCli:
          "{f}: invalid JSON: nested too deeply"),
         (["verify", COBUCHI, "{f}"], "[" * 100_000 + "]" * 100_000,
          "{f}: invalid JSON: nested too deeply"),
+        (["compare", COBUCHI, "{f}", OPP, *COMPARE_ARGS], '{"S0": 1.0',
+         "{f}: invalid JSON: Expecting ',' delimiter: line 1 column 11 (char 10)"),
+        (["compare", COBUCHI, "{f}", OPP, *COMPARE_ARGS], None,
+         "[Errno 2] No such file or directory: '{f}'"),
+        (["compare", COBUCHI, REWARD, "{f}", *COMPARE_ARGS], '{"S2": {"d": 1.0',
+         "{f}: invalid JSON: Expecting ',' delimiter: line 1 column 17 (char 16)"),
+        (["compare", COBUCHI, REWARD, "{f}", *COMPARE_ARGS], '{"ZZ": {"d": 1.0}}',
+         "unknown state 'ZZ'"),
+        (["compare", COBUCHI, REWARD, "{f}", *COMPARE_ARGS], '{"S2": {"zz": 1.0}}',
+         "unknown player-2 action 'zz' at state 'S2'"),
+        (["compare", COBUCHI, REWARD, OPP, "--pairs", "0"], None, "--pairs must be at least 1"),
+        (["compare", "{f}", REWARD, OPP, *COMPARE_ARGS], NO_OBJECTIVE,
+         "{f}: game file has no objective"),
     ], ids=["opponent-list", "opponent-string-row", "opponent-nan", "opponent-numeric-string",
             "opponent-unknown-state", "strategy-list-row", "strategy-constant-without-p",
             "strategy-nan-p", "strategy-infinite-c", "template-live-list", "template-string-winning",
             "template-string-cells", "template-empty-live-entry", "reward-string", "reward-numeric-string", "reward-nan",
             "adapt-eps-live-nan", "adapt-colive-base-negative", "adapt-alpha-zero",
             "extract-colive-base-inf", "incremental-sizes-letter", "incremental-sizes-empty",
-            "incremental-sizes-zero", "game-nested-too-deeply", "strategy-nested-too-deeply"])
+            "incremental-sizes-zero", "game-nested-too-deeply", "strategy-nested-too-deeply",
+            "compare-reward-bad-json", "compare-reward-missing", "compare-opponent-bad-json",
+            "compare-opponent-other-game", "compare-opponent-unknown-action",
+            "compare-no-pairs", "compare-no-objective"])
     def test_exit_2_with_message(self, capsys, tmp_path, argv, text, message):
         path = tmp_path / "input.json"
         if text is not None:

@@ -332,8 +332,7 @@ def _same_arena(h: GameGraph, g: GameGraph) -> None:
         for a in g.p1_actions(v):
             for b in g.p2_actions(v):
                 assert h.succ(v, a, b) == g.succ(v, a, b)
-        assert h.succ_masks(vi) == g.succ_masks(vi)
-        assert h.succ_pairs(vi) == g.succ_pairs(vi)
+        assert h.succ_rows(vi) == g.succ_rows(vi)
         assert h.pred_mask(1 << vi) == g.pred_mask(1 << vi)
 
 

@@ -212,6 +212,17 @@ class TestExtraction:
         assert e.value.state == "A"
         assert "'A'" in str(e.value)
 
+    @pytest.mark.parametrize("winning", [frozenset({"S2"}), frozenset()])
+    def test_overflowing_colive_mass_is_rejected(self, cobuchi_game, winning):
+        # two colive weights of 1e308 overflow the floor's inflation to inf,
+        # and S2's one live group leaves no floor to place: no NaN weight
+        # may reach the strategy, inside the winning region or outside it
+        t = Template(
+            winning=winning, unsafe={}, live={"S2": (frozenset({"x"}),)}, partition=(),
+            colive={"S2": frozenset({"x", "y"})}, objective_tag="cobuchi")
+        with pytest.raises(InputError, match="cannot fit live floors at 'S2'"):
+            extract_strategy(cobuchi_game, t, colive_base=1e308)
+
     def test_parameter_validation(self, buchi_game):
         t = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
         with pytest.raises(InputError):
