@@ -92,11 +92,12 @@ class _Plan:
     a move to; ``pools`` are the persistent members of each live group that
     has one; ``counts`` are the opponent's, per action of ``p2``; ``rows``
     give each allowed action's reward against each action of ``p2``;
-    ``succ`` maps (P1, P2) actions to (successor, its reward).
+    ``succ`` maps (P1, P2) actions to (successor, its reward).  ``move`` holds
+    the first (move, verdict) at a state with one P2 action and no colive action.
     """
 
     __slots__ = ("state", "floor", "checks", "pools", "colive", "allowed", "rest",
-                 "p2", "p2_index", "counts", "rows", "succ")
+                 "p2", "p2_index", "counts", "rows", "succ", "move")
 
     def __init__(self, g: GameGraph, t: Template, v: str, reward: RewardSpec,
                  eps_live: float):
@@ -117,6 +118,7 @@ class _Plan:
         self.p2 = g.p2_actions(v)
         self.p2_index = {b: i for i, b in enumerate(self.p2)}
         self.counts = [0] * len(self.p2)
+        self.move: Optional[tuple[ActionDistribution, bool]] = None
         self.succ = {}
         for a in self.allowed:
             for b in self.p2:
@@ -214,8 +216,7 @@ def _check_step(
 ) -> bool:
     unsafe, colive, persistent = t.split_at(g, v)
     groups = tuple(h for h in t.groups_at(v) if h & persistent)
-    return _complies((unsafe, colive, t.live_floor(v, eps_live), groups),
-                     d, visit, colive_base)
+    return _complies((unsafe, colive, t.live_floor(v, eps_live), groups), d, visit, colive_base)
 
 
 def _complies(checks: tuple, d: ActionDistribution, visit: int, colive_base: float) -> bool:
@@ -244,8 +245,8 @@ def run_adaptive(
     colive_base: float = 0.25,
     alpha: float = 1.0,
 ) -> AdaptiveRun:
-    """Play one episode, re-deriving the mixed action each step from the
-    template and the opponent counts gathered so far.
+    """Play one episode, re-deriving the mixed action from the template and
+    the opponent counts gathered so far at each step where they can change it.
 
     Randomness follows the same convention as simulation: random.Random
     seeded once, P1 sampling before the opponent each step.  Every emitted
@@ -281,8 +282,14 @@ def run_adaptive(
             # (a zero product leaves every sum as it was) or, with no
             # share left, raises
             ActionDistribution.from_mapping(dict(zip(plan.p2, est)))
-        d = _greedy(plan, est, n, colive_base)
-        if not _complies(plan.checks, d, n, colive_base):
+        move = plan.move
+        if move is None:
+            d = _greedy(plan, est, n, colive_base)
+            move = d, _complies(plan.checks, d, n, colive_base)
+            if len(plan.p2) == 1 and not plan.colive:  # estimate 1.0, no visit cap
+                plan.move = move
+        d, ok = move
+        if not ok:
             violations += 1
         a = _sample(rng, d)
         b = opponent.pick(g, v, d, rng)

@@ -396,14 +396,17 @@ class GreedyAdversary:
     """
 
     ranks: tuple[frozenset[str], ...]
+    _first_rank: Mapping[str, int] = field(init=False, repr=False, compare=False)
 
-    def _score(self, w: str) -> int:
-        return next((i for i, x in enumerate(self.ranks) if w in x), len(self.ranks))
+    def __post_init__(self):
+        object.__setattr__(self, "_first_rank", {
+            w: i for i, x in reversed(tuple(enumerate(self.ranks))) for w in x})
 
     def pick(self, g: GameGraph, v: str, d1: ActionDistribution, rng: random.Random) -> str:
+        rank, lost = self._first_rank.get, len(self.ranks)
         best, best_score = None, -1.0
         for b in g.p2_actions(v):
-            score = sum(p * self._score(g.succ(v, a, b)) for a, p in d1.probs)
+            score = sum(p * rank(g.succ(v, a, b), lost) for a, p in d1.probs)
             if score > best_score + 1e-12:
                 best, best_score = b, score
         assert best is not None

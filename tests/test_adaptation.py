@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -29,9 +30,12 @@ from congame import (
     template_for,
     update_model,
 )
+from congame import adaptation
 from congame.adaptation import _check_step
 from congame.corpus import random_game
 from congame.strategies import _sample
+
+from .conftest import GAMES
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +362,14 @@ class TestLoopEqualsReference:
         assert_matches_reference(cobuchi_game, t, RewardSpec({"S0": 1.0}), opp,
                                  horizon=300, seed=3, start="S2", alpha=alpha)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_colive_state_with_one_opponent_action(self, chain_game, seed):
+        # P has one P2 action, but its colive cap halves at every visit, so
+        # its move must be rebuilt at each one
+        t = chain_template(colive={"P": frozenset({"b"})})
+        assert_matches_reference(chain_game, t, RewardSpec({"Q": 1.0}), UniformRandom(),
+                                 horizon=30, seed=seed, start="P")
+
     def test_infeasible_state_raises_on_its_first_visit(self, chain_game):
         # Q has no move, but only a run that reaches it fails
         t = chain_template(unsafe={"Q": frozenset({"a"})})
@@ -379,3 +391,39 @@ class TestLoopEqualsReference:
         with pytest.raises(UnknownAction, match="unknown player-2 action 'zz' at state 'S2'"):
             run_adaptive(cobuchi_game, t, RewardSpec({}), Bogus(),
                          horizon=3, seed=0, start="S2")
+
+
+class TestFixedMoves:
+    """At a state with one P2 action and no colive action the move and its
+    verdict cannot change, so run_adaptive computes them on the first visit
+    only; everywhere else it rebuilds them at every step."""
+
+    @pytest.fixture
+    def benchmark_run(self, cobuchi_game, cobuchi_objective):
+        """The adapt benchmark's episode 0: opponent favouring d, start S2."""
+        t = template_for(cobuchi_game, cobuchi_objective)
+        raw = json.loads((GAMES / "opponent_heavy_d.json").read_text(encoding="utf-8"))
+        opp = FixedSchedule.from_dict(raw, cobuchi_game)
+        return lambda: run_adaptive(cobuchi_game, t, RewardSpec({"S0": 1.0}), opp,
+                                    horizon=2000, seed=0, start="S2")
+
+    def test_greedy_runs_once_per_fixed_plan(self, benchmark_run, monkeypatch):
+        calls = []
+        greedy = adaptation._greedy
+
+        def counted(plan, *args):
+            calls.append(plan.state)
+            return greedy(plan, *args)
+
+        monkeypatch.setattr(adaptation, "_greedy", counted)
+        run = benchmark_run()
+        at = [v for _, v, *_ in run.rows]
+        others = set(at) - {"S2"}
+        # S2 has three opponent actions; every other state has one
+        assert others and calls.count("S2") == at.count("S2") < len(at)
+        assert sorted(v for v in calls if v != "S2") == sorted(others)
+        assert len(calls) == at.count("S2") + len(others)
+
+    def test_violations_count_every_step_of_a_fixed_plan(self, benchmark_run, monkeypatch):
+        monkeypatch.setattr(adaptation, "_complies", lambda *args: False)
+        assert benchmark_run().violations == 2000

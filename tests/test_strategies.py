@@ -458,6 +458,26 @@ class TestOpponents:
         d1 = ActionDistribution.point("b")
         assert adv.pick(buchi_game, "A", d1, random.Random(0)) == "a"
 
+    @given(game_graphs(), st.data())
+    def test_greedy_matches_a_rank_scan(self, g, data):
+        # ranks may overlap and miss states: a state scores its first rank,
+        # a state in none one past the last
+        ranks = tuple(data.draw(st.lists(st.frozensets(st.sampled_from(g.states)), max_size=4)))
+
+        def score(w):
+            return next((i for i, x in enumerate(ranks) if w in x), len(ranks))
+
+        adv = GreedyAdversary(ranks)
+        for v in g.states:
+            acts = data.draw(st.lists(st.sampled_from(g.p1_actions(v)), min_size=1, unique=True))
+            d1 = ActionDistribution.uniform(acts)
+            want, best = None, -1.0
+            for b in g.p2_actions(v):
+                got = sum(p * score(g.succ(v, a, b)) for a, p in d1.probs)
+                if got > best + 1e-12:
+                    want, best = b, got
+            assert adv.pick(g, v, d1, random.Random(0)) == want
+
 
 def reference_steps(g, s, opponent, horizon, seed, start):
     """One simulated episode that asks the strategy at every visit."""
