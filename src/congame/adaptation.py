@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import mul
@@ -25,8 +26,9 @@ from .model import (
     InputError,
     UnknownAction,
     _all_finite,
+    _sum_lr,
 )
-from .strategies import Opponent, _sample
+from .strategies import Opponent, _draws
 from .templates import Template, check_weight_params
 
 
@@ -92,8 +94,10 @@ class _Plan:
     a move to; ``pools`` are the persistent members of each live group that
     has one; ``counts`` are the opponent's, per action of ``p2``; ``rows``
     give each allowed action's reward against each action of ``p2``;
-    ``succ`` maps (P1, P2) actions to (successor, its reward).  ``move`` holds
-    the first (move, verdict) at a state with one P2 action and no colive action.
+    ``succ`` maps (P1, P2) actions to (successor, its reward).  At a state
+    with one P2 action and no colive action, ``move`` holds the first visit's
+    move, its verdict and its draw table (:func:`~congame.strategies._draws`)
+    as ``(d, ok, acts, cums)``; elsewhere it stays None.
     """
 
     __slots__ = ("state", "floor", "checks", "pools", "colive", "allowed", "rest",
@@ -118,7 +122,7 @@ class _Plan:
         self.p2 = g.p2_actions(v)
         self.p2_index = {b: i for i, b in enumerate(self.p2)}
         self.counts = [0] * len(self.p2)
-        self.move: Optional[tuple[ActionDistribution, bool]] = None
+        self.move: Optional[tuple[ActionDistribution, bool, tuple[str, ...], list[float]]] = None
         self.succ = {}
         for a in self.allowed:
             for b in self.p2:
@@ -131,7 +135,7 @@ class _Plan:
 def _greedy(plan: _Plan, est: list[float], visit: int, colive_base: float) -> ActionDistribution:
     """The greedy move at the plan's state on its `visit`-th visit, given
     the opponent estimate `est` over ``plan.p2``; see :func:`adapt_step`."""
-    expected = {a: sum(map(mul, est, row)) for a, row in plan.rows}
+    expected = {a: _sum_lr(map(mul, est, row)) for a, row in plan.rows}
 
     def best_of(pool: tuple[str, ...]) -> str:
         return max(pool, key=expected.__getitem__)
@@ -274,24 +278,24 @@ def run_adaptive(
         plan = plans.get(v)
         if plan is None:
             plan = plans[v] = _Plan(g, t, v, reward, eps_live)
-        # OpponentModel.estimate, on the plan's counts
-        denom = sum(plan.counts) + alpha * len(plan.p2)
-        est = [(c + alpha) / denom for c in plan.counts]
-        if 0.0 in est:
-            # an extreme alpha underflowed a share; the estimate drops it
-            # (a zero product leaves every sum as it was) or, with no
-            # share left, raises
-            ActionDistribution.from_mapping(dict(zip(plan.p2, est)))
         move = plan.move
         if move is None:
+            # OpponentModel.estimate, on the plan's counts
+            denom = sum(plan.counts) + alpha * len(plan.p2)
+            est = [(c + alpha) / denom for c in plan.counts]
+            if 0.0 in est:
+                # an extreme alpha underflowed a share; the estimate drops it
+                # (a zero product leaves every sum as it was) or, with no
+                # share left, raises
+                ActionDistribution.from_mapping(dict(zip(plan.p2, est)))
             d = _greedy(plan, est, n, colive_base)
-            move = d, _complies(plan.checks, d, n, colive_base)
+            move = (d, _complies(plan.checks, d, n, colive_base), *_draws(d))
             if len(plan.p2) == 1 and not plan.colive:  # estimate 1.0, no visit cap
                 plan.move = move
-        d, ok = move
+        d, ok, acts, cums = move
         if not ok:
             violations += 1
-        a = _sample(rng, d)
+        a = acts[bisect_right(cums, rng.random())]
         b = opponent.pick(g, v, d, rng)
         # update_model, in place
         bi = plan.p2_index.get(b)

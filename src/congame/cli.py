@@ -26,6 +26,7 @@ from .model import (
     InputError,
     NonConvergence,
     Objective,
+    _sum_lr,
     dump_json,
     game_to_dict,
     load_game,
@@ -212,7 +213,7 @@ def cmd_compare(args) -> None:
         adaptive.append(run.total_reward)
         (log,) = simulate(g, s, opponent, horizon=args.horizon, episodes=1,
                           seed=seed, start=args.start)
-        fixed.append(sum(reward.at(nxt) for *_, nxt in log.steps))
+        fixed.append(_sum_lr(reward.at(nxt) for *_, nxt in log.steps))
     mean_a, mean_f = statistics.fmean(adaptive), statistics.fmean(fixed)
     _write_text(f"pairs:            {args.pairs}\nhorizon:          {args.horizon}\n"
                 f"adaptive mean:    {mean_a:.2f}\nfixed mean:       {mean_f:.2f}\n"

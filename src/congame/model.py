@@ -25,8 +25,9 @@ from __future__ import annotations
 import json
 import os
 import sys
+from functools import reduce
 from itertools import chain, product
-from operator import itemgetter
+from operator import add, itemgetter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -275,13 +276,14 @@ class GameGraph:
             raise UnknownAction(state, p2, player=2)
         return self.states[self._succ[vi][offset + bi]]
 
-    def succ_row(self, state: str) -> tuple[Mapping[str, int], list[int]]:
+    def succ_row(self, state: str) -> tuple[Mapping[str, int], list[int], Mapping[str, int]]:
         """The successors of `state`, read from the successor table without
         checking names again: per P1 action, the offset of its run in a row
-        of state indices; the run holds its successor against each P2 action,
-        in the order of :meth:`p2_actions`.  Both are shared: read only."""
+        of state indices; the row; per P2 action, its place in a run (the
+        order of :meth:`p2_actions`).  So ``states[row[offset[a] + place[b]]]``
+        is ``succ(state, a, b)``.  All three are shared: read only."""
         vi = self.index(state)
-        return self._p1_offset[vi], self._succ[vi]
+        return self._p1_offset[vi], self._succ[vi], self._p2_index[vi]
 
     # -- bitmask helpers (states) ----------------------------------------
 
@@ -417,6 +419,12 @@ def _all_finite(items: Iterable) -> bool:
     items = tuple(items)
     return (set(map(type, items)) <= set(_NUMBER)
             and all(map(_MAX_FLOAT.__ge__, map(abs, items))))
+
+
+def _sum_lr(items: Iterable[float]) -> float:
+    """The floats of `items` added left to right, as builtin ``sum`` does up
+    to Python 3.11 (3.12 compensates), so sums do not depend on the interpreter."""
+    return reduce(add, items, 0.0)
 
 
 def validate_game(raw: Mapping) -> GameGraph:

@@ -22,7 +22,8 @@ Unknown rather than guessed.
 from __future__ import annotations
 
 import random
-from itertools import chain
+from bisect import bisect_right
+from itertools import accumulate, chain
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import partial
@@ -34,11 +35,13 @@ from .model import (
     InputError,
     Objective,
     ObjectiveKind,
+    UnknownAction,
     UnknownState,
     _all_finite,
     _all_of,
     _MAX_FLOAT,
     _NUMBER,
+    _sum_lr,
     map_tasks,
 )
 from .operators import apre2_mask, pre2_mask
@@ -105,7 +108,7 @@ class ScheduleStrategy:
             else max(s.r for s in table.values())
         weights = {a: s.p if isinstance(s, Constant) else s.c * (s.r / r_max) ** visit
                    for a, s in table.items()}
-        total = sum(weights.values())
+        total = _sum_lr(weights.values())
         if total <= 0.0:
             raise InputError(f"strategy has no positive weight at {v!r}")
         return ActionDistribution.from_mapping(
@@ -197,7 +200,7 @@ def extract_strategy(
         weights = dict.fromkeys(sorted(r_acts), (1.0 - floor * len(groups)) / len(r_acts))
         for h in groups:
             weights[min(h & r_acts)] += floor
-        total = sum(weights.values())
+        total = _sum_lr(weights.values())
         for a, w in weights.items():
             table[a] = Constant(w / total)
         schedules[v] = table
@@ -206,9 +209,9 @@ def extract_strategy(
     for v in g.states:
         if v in t.winning and any(t.groups_at(v)):
             w0 = {a: s.p if isinstance(s, Constant) else s.c for a, s in schedules[v].items()}
-            total, need = sum(w0.values()), t.live_floor(v, eps_live)
+            total, need = _sum_lr(w0.values()), t.live_floor(v, eps_live)
             for h in filter(None, t.groups_at(v)):
-                mass = sum(w / total for a, w in sorted(w0.items()) if a in h)
+                mass = _sum_lr(w / total for a, w in sorted(w0.items()) if a in h)
                 if mass < need - 1e-12:
                     raise LiveFloorViolation(v, h, mass, need)
     return ScheduleStrategy(schedules)
@@ -350,6 +353,14 @@ def _sample(rng: random.Random, d: ActionDistribution) -> str:
     return d.probs[-1][0]
 
 
+def _draws(d: ActionDistribution) -> tuple[tuple[str, ...], list[float]]:
+    """The draw table ``(acts, cums)`` of `d`: its actions, the last one twice,
+    and the running sums of its weights, added as :func:`_sample` adds them; so
+    ``acts[bisect_right(cums, u)]`` is ``_sample``'s choice for ``u``."""
+    acts = tuple(a for a, _ in d.probs)
+    return acts + acts[-1:], list(accumulate(p for _, p in d.probs))
+
+
 class UniformRandom:
     """Opponent playing uniformly at random at every state."""
 
@@ -406,7 +417,7 @@ class GreedyAdversary:
         rank, lost = self._first_rank.get, len(self.ranks)
         best, best_score = None, -1.0
         for b in g.p2_actions(v):
-            score = sum(p * rank(g.succ(v, a, b), lost) for a, p in d1.probs)
+            score = _sum_lr(p * rank(g.succ(v, a, b), lost) for a, p in d1.probs)
             if score > best_score + 1e-12:
                 best, best_score = b, score
         assert best is not None
@@ -449,37 +460,38 @@ def _run_episode(
     episode: int,
 ) -> EpisodeLog:
     rng = random.Random(seed)
+    states = g.states
     v = start
     visits: dict[str, int] = {}
-    # the distribution of each visited row whose schedules are all constant
-    fixed: dict[str, ActionDistribution] = {}
+    # per visited row whose schedules are all constant: its distribution,
+    # draw table and successor lookup (the strategy's actions are checked)
+    fixed: dict[str, tuple] = {}
     steps: list[tuple[str, str, str, str]] = []
-    state_seq = [v]
     for _ in range(horizon):
         n = visits.get(v, 0)
         visits[v] = n + 1
-        d1 = fixed.get(v)
-        if d1 is None:
+        row = fixed.get(v)
+        if row is None:
             d1 = s.distribution(v, n)
+            row = (d1, *_draws(d1), *g.succ_row(v))
             if not n and all(isinstance(x, Constant) for x in s.schedules[v].values()):
-                fixed[v] = d1
-        a = _sample(rng, d1)
+                fixed[v] = row
+        d1, acts, cums, offset, succ, places = row
+        a = acts[bisect_right(cums, rng.random())]
         b = opponent.pick(g, v, d1, rng)
-        w = g.succ(v, a, b)
+        bi = places.get(b)
+        if bi is None:
+            raise UnknownAction(v, b, player=2)
+        w = states[succ[offset[a] + bi]]
         steps.append((v, a, b, w))
-        state_seq.append(w)
         v = w
     visits[v] = visits.get(v, 0) + 1
-    target_visits = sum(1 for u in state_seq if u in target)
-    suffix = 0
-    for u in reversed(state_seq):
-        if u not in target:
-            break
-        suffix += 1
+    # per state of the play, start first: whether it is a target
+    hits = [u in target for u in (start, *(w for *_, w in steps))]
     return EpisodeLog(
         episode=episode, seed=seed, start=start, steps=steps,
-        visits=visits, target_visits=target_visits,
-        longest_target_suffix=suffix,
+        visits=visits, target_visits=sum(hits),
+        longest_target_suffix=hits[::-1].index(False) if False in hits else len(hits),
     )
 
 

@@ -171,11 +171,11 @@ def _rank_groups(
 ) -> tuple[frozenset[str], ...]:
     # one group per opponent action: non-unsafe actions that step into the
     # previous rank against it; duplicates collapse
-    offset, row = g.succ_row(v)
+    offset, row, places = g.succ_row(v)
     states = g.states
     return canonical_groups(
         frozenset(a for a, i in offset.items() if a not in s and states[row[i + j]] in prev_rank)
-        for j in range(len(g.p2_actions(v))))
+        for j in range(len(places)))
 
 
 def template_for(

@@ -36,6 +36,7 @@ from congame.corpus import random_game
 from congame.strategies import _sample
 
 from .conftest import GAMES
+from .digests import play_digest
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +155,24 @@ class TestAdaptStep:
         d = adapt_step(chain_game, t, "P", 0, OpponentModel(), RewardSpec({}))
         # both actions have expected reward 0; "a" wins the remainder
         assert d.prob("a") == pytest.approx(1.0)
+
+    def test_ties_break_lexicographically_on_every_interpreter(self):
+        # against the estimate [0.5, 0.25, 0.25], "b" earns 1e16, 1.0 and
+        # -1e16: 0.0 added left to right (3.12's compensated sum gives 1.0),
+        # which ties with "a"'s all-zero row
+        g = GameGraph(
+            ["O", "P", "X", "Y", "Z"],
+            {v: ["a", "b"] if v == "P" else ["a"] for v in "OPXYZ"},
+            {v: ["d", "e", "f"] if v == "P" else ["d"] for v in "OPXYZ"},
+            {("P", "a", "d"): "O", ("P", "a", "e"): "O", ("P", "a", "f"): "O",
+             ("P", "b", "d"): "X", ("P", "b", "e"): "Y", ("P", "b", "f"): "Z",
+             **{(v, "a", "d"): v for v in "OXYZ"}})
+        t = Template(frozenset(g.states), {}, {}, (), {}, "safety")
+        reward = RewardSpec({"X": 2e16, "Y": 4.0, "Z": -4e16})
+        plan = adaptation._Plan(g, t, "P", reward, 0.1)
+        assert adaptation._greedy(plan, [0.5, 0.25, 0.25], 0, 0.25).probs == (("a", 1.0),)
+        model = OpponentModel(counts={"P": {"d": 1}})
+        assert adapt_step(g, t, "P", 0, model, reward).probs == (("a", 1.0),)
 
     def test_floor_lands_on_best_group_member(self, cobuchi_game, cobuchi_objective):
         t = template_for(cobuchi_game, Objective(
@@ -427,3 +446,11 @@ class TestFixedMoves:
     def test_violations_count_every_step_of_a_fixed_plan(self, benchmark_run, monkeypatch):
         monkeypatch.setattr(adaptation, "_complies", lambda *args: False)
         assert benchmark_run().violations == 2000
+
+
+def test_seeded_plays_do_not_depend_on_the_interpreter():
+    # adaptive and simulated plays of 800 seeded setups (tests/digests.py),
+    # recorded on Python 3.10, 3.11, 3.12 and 3.13; setups 226 and 400 hit a
+    # tie that builtin sum breaks the other way from 3.12 on
+    assert play_digest(range(800)) == (
+        "9a3d17caef002a04f4ef09a9f9cce9da21d4728a58f9bd7400ddc9760ef0e871")

@@ -178,6 +178,16 @@ class TestMasks:
         for m in range(g.full_mask + 1):
             assert g.mask(g.unmask(m)) == m
 
+    @given(game_graphs())
+    def test_succ_row_reads_succ(self, g: GameGraph):
+        for v in g.states:
+            offset, row, places = g.succ_row(v)
+            assert tuple(places) == g.p2_actions(v)
+            assert tuple(offset) == g.p1_actions(v)
+            for a in g.p1_actions(v):
+                for b in g.p2_actions(v):
+                    assert g.states[row[offset[a] + places[b]]] == g.succ(v, a, b)
+
 
 class TestObjective:
     def test_parse(self):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,7 +39,7 @@ from congame import (
     validate_strategy,
     verify_memoryless,
 )
-from congame.strategies import _sample
+from congame.strategies import _draws, _sample
 
 from .conftest import GAMES, game_graphs, games_with_objective
 from .oracles import oracle_verify
@@ -611,6 +613,20 @@ class TestSimulation:
         logs = simulate(g, s, opp, horizon=horizon, episodes=2, seed=seed, start=start)
         assert [log.steps for log in logs] == want
 
+    def test_unknown_opponent_action(self, cobuchi_game, cobuchi_objective):
+        # on constant and geometric rows alike, as the name-level succ raises
+        class Bogus:
+            def pick(self, g, v, d1, rng):
+                return "zz"
+
+        s = extract_strategy(cobuchi_game, template_for(cobuchi_game, cobuchi_objective))
+        for v in cobuchi_game.states:
+            with pytest.raises(UnknownAction) as want:
+                reference_steps(cobuchi_game, s, Bogus(), 3, 0, v)
+            with pytest.raises(UnknownAction) as got:
+                simulate(cobuchi_game, s, Bogus(), horizon=3, episodes=1, seed=0, start=v)
+            assert str(got.value) == str(want.value) == f"unknown player-2 action 'zz' at state {v!r}"
+
     def test_row_without_positive_weight_raises_on_first_visit(self, buchi_game):
         t = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
         table = dict(extract_strategy(buchi_game, t).schedules)
@@ -620,3 +636,36 @@ class TestSimulation:
         assert log.steps == []
         with pytest.raises(InputError, match="strategy has no positive weight at 'A'"):
             simulate(buchi_game, s, UniformRandom(), horizon=1, episodes=1, seed=0)
+
+
+class _Fixed:
+    """A stand-in for random.Random whose draws all return `u`."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+class TestDrawTable:
+    # weights may be as small as 1e-300 and need not sum to 1, so running
+    # sums can stay flat and the last one can lie below 1
+    @given(st.lists(st.one_of(st.floats(1e-300, 1.0), st.sampled_from([1e-300, 1e-17, 0.5])),
+                    min_size=1, max_size=6),
+           st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=5))
+    @example([0.5, 1e-17, 0.25, 1e-300, 0.25], [])
+    @example([0.3, 0.3], [0.6, 0.7, 0.999])
+    def test_equals_sample(self, weights, extra):
+        d = ActionDistribution(tuple((f"a{i}", w) for i, w in enumerate(weights)))
+        acts, cums = _draws(d)
+        near = [x for c in cums for x in (c, math.nextafter(c, 0.0), math.nextafter(c, 1.0))]
+        for u in [0.0, *near, *extra]:
+            if 0.0 <= u < 1.0:
+                assert acts[bisect_right(cums, u)] == _sample(_Fixed(u), d)
+
+    def test_falls_through_to_the_last_action(self):
+        d = ActionDistribution((("a", 0.25), ("b", 0.25)))
+        acts, cums = _draws(d)
+        assert (acts, cums) == (("a", "b", "b"), [0.25, 0.5])
+        assert acts[bisect_right(cums, 0.75)] == _sample(_Fixed(0.75), d) == "b"
