@@ -94,10 +94,9 @@ class _Plan:
     a move to; ``pools`` are the persistent members of each live group that
     has one; ``counts`` are the opponent's, per action of ``p2``; ``rows``
     give each allowed action's reward against each action of ``p2``;
-    ``succ`` maps (P1, P2) actions to (successor, its reward).  At a state
-    with one P2 action and no colive action, ``move`` holds the first visit's
-    move, its verdict and its draw table (:func:`~congame.strategies._draws`)
-    as ``(d, ok, acts, cums)``; elsewhere it stays None.
+    ``succ`` maps (P1, P2) actions to (successor, its reward).  ``move`` holds
+    the first visit's move, verdict and draw table ``(d, ok, acts, cums)`` at
+    a state with one P2 action and no colive action.
     """
 
     __slots__ = ("state", "floor", "checks", "pools", "colive", "allowed", "rest",

@@ -277,10 +277,9 @@ class GameGraph:
         return self.states[self._succ[vi][offset + bi]]
 
     def succ_row(self, state: str) -> tuple[Mapping[str, int], list[int], Mapping[str, int]]:
-        """The successors of `state`, read from the successor table without
-        checking names again: per P1 action, the offset of its run in a row
-        of state indices; the row; per P2 action, its place in a run (the
-        order of :meth:`p2_actions`).  So ``states[row[offset[a] + place[b]]]``
+        """The successor table of `state`, read without checking names again:
+        per P1 action the offset of its run, the row of state indices, and per
+        P2 action its place in a run, so ``states[row[offset[a] + place[b]]]``
         is ``succ(state, a, b)``.  All three are shared: read only."""
         vi = self.index(state)
         return self._p1_offset[vi], self._succ[vi], self._p2_index[vi]

@@ -27,6 +27,7 @@ from itertools import accumulate, chain
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from typing import Optional, Union
 
 from .model import (
@@ -354,11 +355,10 @@ def _sample(rng: random.Random, d: ActionDistribution) -> str:
 
 
 def _draws(d: ActionDistribution) -> tuple[tuple[str, ...], list[float]]:
-    """The draw table ``(acts, cums)`` of `d`: its actions, the last one twice,
-    and the running sums of its weights, added as :func:`_sample` adds them; so
-    ``acts[bisect_right(cums, u)]`` is ``_sample``'s choice for ``u``."""
-    acts = tuple(a for a, _ in d.probs)
-    return acts + acts[-1:], list(accumulate(p for _, p in d.probs))
+    """`d`'s actions, the last one twice, and the running sums of its weights added as
+    :func:`_sample` adds them, so ``acts[bisect_right(cums, u)]`` is its choice for ``u``."""
+    acts, weights = zip(*d.probs)
+    return acts + acts[-1:], list(accumulate(weights))
 
 
 class UniformRandom:
@@ -463,8 +463,9 @@ def _run_episode(
     states = g.states
     v = start
     visits: dict[str, int] = {}
-    # per visited row whose schedules are all constant: its distribution,
-    # draw table and successor lookup (the strategy's actions are checked)
+    # per visited state, its successor lookup (the strategy's actions are
+    # checked); per all-constant row, its distribution and draw table
+    lookups: dict[str, tuple] = {}
     fixed: dict[str, tuple] = {}
     steps: list[tuple[str, str, str, str]] = []
     for _ in range(horizon):
@@ -473,12 +474,14 @@ def _run_episode(
         row = fixed.get(v)
         if row is None:
             d1 = s.distribution(v, n)
-            row = (d1, *_draws(d1), *g.succ_row(v))
+            a = _sample(rng, d1)
             if not n and all(isinstance(x, Constant) for x in s.schedules[v].values()):
-                fixed[v] = row
-        d1, acts, cums, offset, succ, places = row
-        a = acts[bisect_right(cums, rng.random())]
+                fixed[v] = (d1, *_draws(d1))
+        else:
+            d1, acts, cums = row
+            a = acts[bisect_right(cums, rng.random())]
         b = opponent.pick(g, v, d1, rng)
+        offset, succ, places = lookups.get(v) or lookups.setdefault(v, g.succ_row(v))
         bi = places.get(b)
         if bi is None:
             raise UnknownAction(v, b, player=2)
@@ -486,8 +489,7 @@ def _run_episode(
         steps.append((v, a, b, w))
         v = w
     visits[v] = visits.get(v, 0) + 1
-    # per state of the play, start first: whether it is a target
-    hits = [u in target for u in (start, *(w for *_, w in steps))]
+    hits = [u in target for u in (start, *map(itemgetter(3), steps))]
     return EpisodeLog(
         episode=episode, seed=seed, start=start, steps=steps,
         visits=visits, target_visits=sum(hits),

@@ -51,7 +51,7 @@ def _subset(rng: random.Random, pool) -> frozenset[str]:
     return random_subset(rng, pool, size) if size else frozenset()
 
 
-def setup(i: int):
+def draw_setup(i: int):
     """Setup `i`: a game, a template, a reward, an opponent and the loop's
     keyword arguments.  Every third template is hand-built, with colive
     actions and live groups drawn at random."""
@@ -90,7 +90,7 @@ def setup(i: int):
 def play(i: int) -> str:
     """The outcome of setup `i` as text: the adaptive episode's rows, total,
     violations and counts, then the simulated episode's steps."""
-    g, t, reward, opp, kw = setup(i)
+    g, t, reward, opp, kw = draw_setup(i)
     out = [str(i)]
     try:
         run = run_adaptive(g, t, reward, opp, **kw)
