@@ -41,7 +41,6 @@ from .strategies import (
     extract_strategy,
     simulate,
     strategy_from_dict,
-    validate_strategy,
     verify_memoryless,
 )
 from .templates import (
@@ -71,12 +70,6 @@ def _load_template_file(path: str, g: GameGraph) -> Template:
     t = template_from_dict(read_json(path))
     validate_template(g, t)
     return t
-
-
-def _load_strategy_file(path: str, g: GameGraph):
-    s = strategy_from_dict(read_json(path))
-    validate_strategy(g, s)
-    return s
 
 
 def _opponent(
@@ -145,7 +138,7 @@ def cmd_extract(args) -> None:
 def cmd_check(args) -> None:
     g, _ = load_game(args.game)
     t = _load_template_file(args.template, g)
-    s = _load_strategy_file(args.strategy, g)
+    s = strategy_from_dict(read_json(args.strategy))
     conflicts = check_conflict_free(g, t)
     verdict = check_compliance(g, t, s)
     out = verdict.to_dict()
@@ -156,7 +149,7 @@ def cmd_check(args) -> None:
 def cmd_verify(args) -> None:
     g, obj = load_game(args.game)
     objective = _require_objective(obj, args.game)
-    s = _load_strategy_file(args.strategy, g)
+    s = strategy_from_dict(read_json(args.strategy))
     verified = verify_memoryless(g, s, objective)
     out = {"objective": objective.to_dict(), "verified": sorted(verified)}
     _write_text(dump_json(out, None), args.output)
@@ -164,7 +157,7 @@ def cmd_verify(args) -> None:
 
 def cmd_simulate(args) -> None:
     g, obj = load_game(args.game)
-    s = _load_strategy_file(args.strategy, g)
+    s = strategy_from_dict(read_json(args.strategy))
     opponent = _opponent(args, g, obj)
     target = obj.target if obj is not None else frozenset()
     logs = simulate(

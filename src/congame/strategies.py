@@ -12,6 +12,9 @@ Strategy (JSON):
     {state: {action: {"kind": "constant", "p": 0.5}
                    | {"kind": "geometric", "c": 0.25, "r": 0.5}}}
 
+P1's support at a state is its row's actions of positive weight; compliance
+and exact verification read it, never float shares, in which weights underflow.
+
 Compliance against a template is decided by limit analysis, which is exact
 within this schedule family up to one honest gap: a live group whose
 normalized mass is positive but vanishing cannot be classified per state
@@ -110,6 +113,10 @@ class ScheduleStrategy:
         weights = {a: s.p if isinstance(s, Constant) else s.c * (s.r / r_max) ** visit
                    for a, s in table.items()}
         total = _sum_lr(weights.values())
+        if total > _MAX_FLOAT:  # finite weights that sum past the float range
+            top = max(weights.values())
+            weights = {a: w / top for a, w in weights.items()}
+            total = _sum_lr(weights.values())
         if total <= 0.0:
             raise InputError(f"strategy has no positive weight at {v!r}")
         return ActionDistribution.from_mapping(
@@ -151,12 +158,21 @@ def strategy_from_dict(raw: Mapping) -> ScheduleStrategy:
     return ScheduleStrategy(schedules)
 
 
-def validate_strategy(g: GameGraph, s: ScheduleStrategy) -> None:
+def _positive(table: Mapping[str, Schedule]) -> dict[str, Schedule]:
+    """The schedules of `table` whose weight is positive: P1's support."""
+    return {a: s for a, s in table.items() if (s.p if isinstance(s, Constant) else s.c) > 0.0}
+
+
+def validate_strategy(g: GameGraph, s: ScheduleStrategy) -> list[int]:
+    """Check `s`'s names and rows against `g`; return per state index the mask
+    of P1's support, its actions of positive weight (all keys unless built in code)."""
     for v in g.states:
         if v not in s.schedules:
             raise UnknownState(v)
     for v, table in s.schedules.items():
-        g.action_mask(v, table)
+        if not g.action_mask(v, table):
+            raise InputError(f"strategy has no schedules at {v!r}")
+    return [g.action_mask(v, _positive(s.schedules[v])) for v in g.states]
 
 
 # -- extraction --------------------------------------------------------------
@@ -241,14 +257,13 @@ class ComplianceVerdict:
 def _limit_sets(table: Mapping[str, Schedule]) -> tuple[frozenset[str], frozenset[str]]:
     """Actions whose normalized weight has a positive limit / is ever positive.
 
-    With any constant present the constants dominate; in an all-geometric
-    table the largest ratio dominates (ratio comparison is exact float
-    equality, which the extractor's single shared ratio satisfies).
+    Of the positive weights, constants dominate; in an all-geometric table
+    the largest ratio dominates (ratio comparison is exact float equality,
+    which the extractor's single shared ratio satisfies).
     """
-    has_const = any(isinstance(s, Constant) for s in table.values())
-    if has_const:
-        dominant = frozenset(a for a, s in table.items() if isinstance(s, Constant))
-    else:
+    table = _positive(table)
+    dominant = frozenset(a for a, s in table.items() if isinstance(s, Constant))
+    if not dominant:
         r_star = max(s.r for s in table.values())
         dominant = frozenset(a for a, s in table.items() if s.r == r_star)
     return dominant, frozenset(table)
@@ -263,12 +278,12 @@ def check_compliance(g: GameGraph, t: Template, s: ScheduleStrategy) -> Complian
     is found elsewhere.  Empty live groups are exempt (their cell carries the
     requirement).
     """
-    validate_strategy(g, s)
     on_cell = t.cell_states()
     unknown: Optional[ComplianceVerdict] = None
-    for v in g.states:
-        table = s.schedules[v]
-        dominant, positive = _limit_sets(table)
+    for v, support in zip(g.states, validate_strategy(g, s)):
+        if not support:
+            raise InputError(f"strategy has no positive weight at {v!r}")
+        dominant, positive = _limit_sets(s.schedules[v])
         unsafe, colive, _ = t.split_at(g, v)
         if unsafe & positive:
             return ComplianceVerdict("noncompliant", v, "unsafe")
@@ -291,11 +306,11 @@ def verify_memoryless(g: GameGraph, s: ScheduleStrategy, objective: Objective) -
     """States from which the constant strategy `s` wins `objective` almost
     surely against every (even history-dependent) opponent.
 
-    Fixing P1's mixed action to its support ``gamma1`` leaves the opponent a
-    one-player chain, each of its actions giving a successor support.  The
-    answer is the complement of the states that can reach `bad`, a set that
-    holds every end component (de Alfaro 1997) violating the objective and
-    whose states each reach one:
+    Fixing P1's mixed action to its support ``gamma1`` (its positive weights)
+    leaves the opponent a one-player chain, each action giving a successor
+    support.  The answer is the complement of the states that can reach
+    `bad`, a set that holds every end component (de Alfaro 1997) violating
+    the objective and whose states each reach one:
 
     * safety: the non-target states.
     * buchi: the trim of the non-target states, their greatest subset X with
@@ -309,13 +324,13 @@ def verify_memoryless(g: GameGraph, s: ScheduleStrategy, objective: Objective) -
       bottom components that meet X minus the target.  Each round is linear
       and X only shrinks, so at most |V| + 1 rounds run.
     """
-    validate_strategy(g, s)
-    gamma1 = []
-    for v in g.states:
+    gamma1 = validate_strategy(g, s)
+    for v, support in zip(g.states, gamma1):
         for a, sched in s.schedules[v].items():
             if not isinstance(sched, Constant):
                 raise NonConstantSchedule(v, a)
-        gamma1.append(g.action_mask(v, s.distribution(v, 0).support))
+        if not support:
+            raise InputError(f"strategy has no positive weight at {v!r}")
     keeps = partial(pre2_mask, g, gamma1)
     not_t = g.full_mask & ~g.mask(objective.target)
 
@@ -382,11 +397,12 @@ class FixedSchedule:
 
     @staticmethod
     def from_dict(raw: Mapping, g: GameGraph) -> "FixedSchedule":
-        """Read {state: {action: weight}}; each row must be a distribution."""
+        """Read {state: {action: weight}}; each row a distribution over P2's actions."""
         if not (isinstance(raw, Mapping) and _all_of(dict, raw.values())
                 and _all_finite(chain.from_iterable(map(dict.values, raw.values())))):
             raise InputError("opponent must map states to JSON objects of finite weights")
-        g.mask(raw)
+        for v, row in raw.items():
+            g.action_mask(v, row, player=2)
         return FixedSchedule({v: ActionDistribution.from_mapping(row) for v, row in raw.items()})
 
     def pick(self, g: GameGraph, v: str, d1: ActionDistribution, rng: random.Random) -> str:

@@ -285,13 +285,13 @@ class TestIncremental:
     @given(games_with_targets())
     @settings(max_examples=40)
     def test_exact_region_is_the_products_counter_zero(self, gts):
-        # the conjunction region equals the brute-force solve on the product
-        # for every all-buchi prefix
+        # the conjunction region equals the brute-force solve on the product,
+        # built name by name here, for every all-buchi prefix
         g, targets = gts
         objs = [Objective(ObjectiveKind.BUCHI, t) for t in targets]
         steps = incremental_synthesize(g, objs)
         for k, step in enumerate(steps, start=1):
-            pg, ptarget = counter_product(g, targets[:k])
+            pg, ptarget = reference_counter_product(g, targets[:k])
             oracle, _ = oracle_solve_buchi(pg, ptarget)
             expected = frozenset(v for v in g.states if f"{v}@0" in oracle)
             assert step.exact_winning == expected

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congame import NonConvergence
+from congame import NonConvergence, cli, strategies
 from congame.cli import main
 
 from .conftest import GAMES, GOLDENS, REPO, golden_text
@@ -33,6 +33,19 @@ def run(capsys, *argv: str) -> tuple[int, str]:
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out
+
+
+def constant_rows(path, rows) -> str:
+    """Write the strategy {state: {action: constant p}} to `path`."""
+    path.write_text(json.dumps({v: {a: {"kind": "constant", "p": p} for a, p in row.items()}
+                                for v, row in rows.items()}), encoding="utf-8")
+    return str(path)
+
+
+# P1's weights at the safety gadget's `g`: a share that underflows to 0.0,
+# and a valid row whose weights sum past the float range
+UNDERFLOW = {"g": {"s": 1e300, "u": 1e-300}, "t": {"s": 1}}
+OVERFLOW = {"g": {"s": 1.7e308, "u": 1.7e308}, "t": {"s": 1}}
 
 
 class TestSolve:
@@ -177,6 +190,34 @@ class TestExtractCheckVerify:
         code, _ = run(capsys, "verify", BUCHI, STRAT_B)
         assert code == 2
 
+    @pytest.mark.parametrize("rows", [UNDERFLOW, OVERFLOW], ids=["underflow", "overflow"])
+    def test_verify_and_check_read_the_positive_weights(self, capsys, tmp_path, rows):
+        # `u` has positive weight and leads to the unsafe `t`, so `g` is lost
+        strat = constant_rows(tmp_path / "s.json", rows)
+        code, out = run(capsys, "verify", SAFETY, strat)
+        assert code == 0
+        assert json.loads(out)["verified"] == []
+        tpl = tmp_path / "t.json"
+        run(capsys, "template", SAFETY, "-o", str(tpl))
+        code, out = run(capsys, "check", SAFETY, str(tpl), strat)
+        assert code == 0
+        assert json.loads(out) == {"clause": "unsafe", "state": "g",
+                                   "template_conflict_free": True, "verdict": "noncompliant"}
+
+    @pytest.mark.parametrize("command", ["check", "verify", "simulate"])
+    def test_strategy_is_validated_once(self, capsys, tmp_path, monkeypatch, command):
+        # counted wherever the name is bound, in the library or the CLI
+        calls = []
+        real = strategies.validate_strategy
+        for module in (strategies, cli):
+            monkeypatch.setattr(module, "validate_strategy",
+                                lambda g, s: calls.append(s) or real(g, s), raising=False)
+        tpl = tmp_path / "t.json"
+        run(capsys, "template", COBUCHI, "-o", str(tpl))
+        args = {"check": [str(tpl)], "verify": [], "simulate": []}[command]
+        code, _ = run(capsys, command, COBUCHI, *args, STRAT_C)
+        assert (code, len(calls)) == (0, 1)
+
 
 class TestSimulateCli:
     def test_jsonl_output(self, capsys, tmp_path):
@@ -229,6 +270,13 @@ class TestSimulateCli:
         code, out = run(capsys, "simulate", str(game), str(strat), "--horizon", "2000")
         assert code == 0
         assert len(json.loads(out)["steps"]) == 2000
+
+    def test_row_summing_past_the_float_range_plays_both_actions(self, capsys, tmp_path):
+        strat = constant_rows(tmp_path / "s.json", OVERFLOW)
+        code, out = run(capsys, "simulate", SAFETY, strat, "--horizon", "40", "--seed", "1")
+        assert code == 0
+        played = [a for v, a, _, _ in json.loads(out)["steps"] if v == "g"]
+        assert set(played) == {"s", "u"}
 
 
 class TestAdaptCli:
@@ -362,6 +410,10 @@ class TestBadInputsCli:
          "unknown state 'ZZ'"),
         (["compare", COBUCHI, REWARD, "{f}", *COMPARE_ARGS], '{"S2": {"zz": 1.0}}',
          "unknown player-2 action 'zz' at state 'S2'"),
+        # S3 is never reached from S2, so only the check at load time sees it
+        (["compare", COBUCHI, REWARD, "{f}", "--start", "S2", "--pairs", "2", "--horizon", "50"],
+         '{"S2": {"d": 0.8, "e": 0.1, "f": 0.1}, "S3": {"zz": 1.0}}',
+         "unknown player-2 action 'zz' at state 'S3'"),
         (["compare", COBUCHI, REWARD, OPP, "--pairs", "0"], None, "--pairs must be at least 1"),
         (["compare", "{f}", REWARD, OPP, *COMPARE_ARGS], NO_OBJECTIVE,
          "{f}: game file has no objective"),
@@ -374,6 +426,7 @@ class TestBadInputsCli:
             "incremental-sizes-zero", "game-nested-too-deeply", "strategy-nested-too-deeply",
             "compare-reward-bad-json", "compare-reward-missing", "compare-opponent-bad-json",
             "compare-opponent-other-game", "compare-opponent-unknown-action",
+            "compare-opponent-unreached-unknown-action",
             "compare-no-pairs", "compare-no-objective"])
     def test_exit_2_with_message(self, capsys, tmp_path, argv, text, message):
         path = tmp_path / "input.json"

@@ -41,7 +41,7 @@ from congame import (
 )
 from congame.strategies import _draws, _sample
 
-from .conftest import GAMES, game_graphs, games_with_objective
+from .conftest import GAMES, game_graphs, games_with_objective, load_fixture
 from .oracles import oracle_verify
 
 
@@ -84,6 +84,13 @@ class TestSchedules:
         d = s.distribution("A", 5000)
         assert d.prob("a") == pytest.approx(2 / 3)
         assert d.prob("b") == pytest.approx(1 / 3)
+
+    def test_row_summing_past_the_float_range_is_rescaled(self):
+        d = all_constant({"A": {"a": 1.7e308, "b": 1.7e308}}).distribution("A", 0)
+        assert d.probs == (("a", 0.5), ("b", 0.5))
+        # a finite sum keeps its shares bit for bit
+        d = all_constant({"A": {"a": 1.2e308, "b": 0.5e308}}).distribution("A", 0)
+        assert d.probs == (("a", 1.2e308 / 1.7e308), ("b", 0.5e308 / 1.7e308))
 
     def test_unknown_state(self):
         s = all_constant({"A": {"a": 1.0}})
@@ -136,6 +143,27 @@ class TestSchedules:
             {"A": {"z": 1.0}, "B": {"a": 1.0}, "C": {"a": 1.0}})
         with pytest.raises(UnknownAction):
             validate_strategy(buchi_game, bad)
+
+    def test_validate_strategy_returns_the_positive_support(self, safety_game):
+        s = ScheduleStrategy({"g": {"s": Constant(0.0), "u": Geometric(1e-300, 0.5)},
+                              "t": {"s": Constant(1e-320)}})
+        assert validate_strategy(safety_game, s) == [0b10, 0b1]
+
+
+@pytest.mark.parametrize("row, missing", [
+    ({}, "schedules"), ({"s": Constant(0.0)}, "positive weight"),
+], ids=["empty", "zero-weight"])
+def test_row_without_positive_weight_is_an_input_error(safety_game, safety_objective, row, missing):
+    s = ScheduleStrategy({"g": row, "t": {"s": Constant(1.0)}})
+    t = template_for(safety_game, safety_objective)
+    message = f"^strategy has no {missing} at 'g'$"
+    with pytest.raises(InputError, match=message):
+        check_compliance(safety_game, t, s)
+    with pytest.raises(InputError, match=message):
+        verify_memoryless(safety_game, s, safety_objective)
+    # a zero-weight row is only sampled, and rejected, at its first visit
+    with pytest.raises(InputError, match=message):
+        simulate(safety_game, s, UniformRandom(), horizon=1, episodes=1, seed=0)
 
 
 class TestExtraction:
@@ -253,6 +281,13 @@ class TestCompliance:
         assert verdict.status == "noncompliant"
         assert (verdict.state, verdict.clause) == ("g", "unsafe")
 
+    def test_zero_weight_is_not_played(self, safety_game, safety_objective):
+        # compliance and verify read the same support: `u` is not in it
+        t = template_for(safety_game, safety_objective)
+        s = all_constant({"g": {"s": 1.0, "u": 0.0}, "t": {"s": 1.0}})
+        assert check_compliance(safety_game, t, s).compliant
+        assert verify_memoryless(safety_game, s, safety_objective) == {"g"}
+
     def test_colive_violation(self, cobuchi_game, cobuchi_objective):
         t = Template(
             winning=frozenset(cobuchi_game.states),
@@ -350,6 +385,9 @@ COBUCHI_REACH_WITNESS = (
     all_constant({"q0": {"a": 1.0, "b": 1.0}, "q1": {"a": 1.0}, "q2": {"a": 1.0}}),
 )
 
+# at `g`, `s` stays and `u` moves to the absorbing `t`
+SAFETY_GADGET = load_fixture("safety_gadget.json")[0]
+
 
 class TestVerifyMemoryless:
     def test_safety_gadget(self, safety_game, safety_objective):
@@ -381,6 +419,16 @@ class TestVerifyMemoryless:
         with pytest.raises(UnknownState, match="^unknown state 'zz'$"):
             verify_memoryless(buchi_game, s, Objective(ObjectiveKind.BUCHI, frozenset({"zz"})))
 
+    def test_reads_no_sampled_distribution(self, buchi_game, buchi_objective, monkeypatch):
+        s = extract_strategy(buchi_game, template_for(buchi_game, buchi_objective))
+        want = verify_memoryless(buchi_game, s, buchi_objective)
+
+        def no_distribution(self, v, visit):
+            raise AssertionError("verify sampled a distribution")
+
+        monkeypatch.setattr(ScheduleStrategy, "distribution", no_distribution)
+        assert verify_memoryless(buchi_game, s, buchi_objective) == want
+
     def test_requires_constant_schedules(self, buchi_game, buchi_objective):
         s = load_strategy("strategy_buchi_nonmax.json")
         with pytest.raises(NonConstantSchedule):
@@ -400,6 +448,10 @@ class TestVerifyMemoryless:
     @pytest.mark.parametrize("kind", list(ObjectiveKind))
     @given(case=verify_cases())
     @example(case=COBUCHI_REACH_WITNESS)
+    @example(case=(SAFETY_GADGET, frozenset({"g"}),
+                   all_constant({"g": {"s": 1e300, "u": 1e-300}, "t": {"s": 1.0}})))
+    @example(case=(SAFETY_GADGET, frozenset({"g"}),
+                   all_constant({"g": {"s": 1.7e308, "u": 1.7e308}, "t": {"s": 1.0}})))
     @settings(max_examples=100)
     def test_matches_brute_force_oracle(self, kind, case):
         g, target, s = case
@@ -433,6 +485,8 @@ class TestOpponents:
     def test_fixed_schedule_from_dict_checks_states_and_sums(self, cobuchi_game):
         with pytest.raises(InputError, match="unknown state 'zz'"):
             FixedSchedule.from_dict({"zz": {"d": 1.0}}, cobuchi_game)
+        with pytest.raises(UnknownAction, match="^unknown player-2 action 'zz' at state 'S3'$"):
+            FixedSchedule.from_dict({"S2": {"d": 1.0}, "S3": {"zz": 1.0}}, cobuchi_game)
         with pytest.raises(InputError, match="sums to"):
             FixedSchedule.from_dict({"S2": {"d": 0.5}}, cobuchi_game)
 
