@@ -1,4 +1,4 @@
-"""A digest of seeded adaptive and simulated plays, to compare interpreters.
+"""Digests of seeded plays and syntheses, to compare interpreters and commits.
 
 Each setup is drawn from ``random.Random(i)`` through ``rng.random()`` only,
 as :mod:`congame.corpus` draws, so setup ``i`` is the same on every Python
@@ -7,14 +7,21 @@ of the extracted strategy and hashes what they return, or the error they
 raise.  Rewards come from a few decimals such as 0.1, 0.2 and 0.3, so that
 expected rewards often tie in real arithmetic and a float sum decides.
 
+``synthesis_digest`` hashes, per seeded arena, the templates of one target
+under each objective kind and every step of an incremental synthesis over
+four objectives of mixed kinds, with its merged template.
+
 Stdlib only, so that interpreters without pytest can run it:
 
     PYTHONPATH=src python -m tests.digests [FIRST STOP]
+
+prints the play digest, then the synthesis digest, of setups FIRST to STOP.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import sys
 
@@ -29,6 +36,7 @@ from congame import (
     Template,
     UniformRandom,
     extract_strategy,
+    incremental_synthesize,
     run_adaptive,
     simulate,
     solve,
@@ -115,6 +123,31 @@ def play_digest(setups) -> str:
     return h.hexdigest()
 
 
+def synthesis(i: int) -> str:
+    """The syntheses on arena `i` as JSON lines: the template of one target
+    for each objective kind, then each incremental step over four objectives
+    (half of them buchi on average) with its merged template."""
+    rng = random.Random(i)
+    g = random_game(rng, n_states=3 + rand_int(rng, 6))
+    target = random_subset(rng, g.states, 1 + rand_int(rng, len(g.states)))
+    out = [template_for(g, Objective(kind, target)).to_dict() for kind in ObjectiveKind]
+    kinds = (ObjectiveKind.BUCHI, ObjectiveKind.BUCHI, ObjectiveKind.SAFETY, ObjectiveKind.COBUCHI)
+    objectives = [Objective(_pick(rng, kinds), random_subset(rng, g.states, 1 + rand_int(rng, 3)))
+                  for _ in range(4)]
+    for step in incremental_synthesize(g, objectives):
+        out += [step.to_dict(), step.template.to_dict()]
+    return "\n".join(json.dumps(x) for x in out)
+
+
+def synthesis_digest(seeds) -> str:
+    """The sha256 of the syntheses on the arenas of `seeds`, in order."""
+    h = hashlib.sha256()
+    for i in seeds:
+        h.update(synthesis(i).encode() + b"\n")
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     first, stop = map(int, sys.argv[1:3]) if len(sys.argv) > 2 else (0, 600)
     print(play_digest(range(first, stop)))
+    print(synthesis_digest(range(first, stop)))

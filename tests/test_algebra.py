@@ -32,6 +32,7 @@ from congame import (
 from congame.algebra import _conjunction_region
 
 from .conftest import game_graphs
+from .digests import synthesis_digest
 from .oracles import oracle_solve_buchi
 
 
@@ -321,6 +322,12 @@ class TestIncremental:
     def test_empty_objectives_rejected(self, buchi_game):
         with pytest.raises(InputError):
             incremental_synthesize(buchi_game, [])
+
+    def test_seeded_syntheses_match_the_recorded_digest(self):
+        # templates of every objective kind and incremental steps with their
+        # merged templates on 800 seeded arenas (tests/digests.py)
+        assert synthesis_digest(range(800)) == (
+            "336cf91c4396c7b1c8c3689332631937b001bbae91545fcfd777ea5f36c28e91")
 
 
 class TestHeatmap:

@@ -34,6 +34,10 @@ class TestSynthesis:
         assert t == template_for(g, obj)
         assert t.objective_tag == obj.kind.value
 
+    def test_decomposition_of_another_game_rejected(
+            self, buchi_game, buchi_objective, safety_game, safety_objective):
+        with pytest.raises(UnknownState):
+            template_for(buchi_game, buchi_objective, solve(safety_game, safety_objective))
 
     def test_safety_gadget(self, safety_game):
         t = template_for(safety_game, Objective(ObjectiveKind.SAFETY, frozenset(["g"])))
