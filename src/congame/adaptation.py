@@ -28,7 +28,7 @@ from .model import (
     _all_finite,
     _sum_lr,
 )
-from .strategies import Opponent, _draws
+from .strategies import Opponent, _draws, _sample
 from .templates import Template, check_weight_params
 
 
@@ -288,13 +288,15 @@ def run_adaptive(
                 # share left, raises
                 ActionDistribution.from_mapping(dict(zip(plan.p2, est)))
             d = _greedy(plan, est, n, colive_base)
-            move = (d, _complies(plan.checks, d, n, colive_base), *_draws(d))
+            ok = _complies(plan.checks, d, n, colive_base)
             if len(plan.p2) == 1 and not plan.colive:  # estimate 1.0, no visit cap
-                plan.move = move
-        d, ok, acts, cums = move
+                plan.move = (d, ok, *_draws(d))
+            a = _sample(rng, d)  # drawn once; only a stored move gets a draw table
+        else:
+            d, ok, acts, cums = move
+            a = acts[bisect_right(cums, rng.random())]
         if not ok:
             violations += 1
-        a = acts[bisect_right(cums, rng.random())]
         b = opponent.pick(g, v, d, rng)
         # update_model, in place
         bi = plan.p2_index.get(b)

@@ -5,7 +5,8 @@ Merging is per-state union of the unsafe/colive sets and of the live group
 collections, with the winning regions intersected; it is commutative and
 associative up to the canonical ordering applied here.  Merging can create
 conflicts (a state where the union blocks everything); these are detected,
-reported, and never silently repaired.
+reported, and never silently repaired.  `compose` checks that every part
+fits the arena; `incremental_synthesize` merges its own templates unchecked.
 
 For conjunctions of pure buchi objectives the counter product gives the
 exact almost-sure region, the reference that shows how much merging loses:
@@ -30,7 +31,7 @@ from .model import (
     ObjectiveKind,
     map_tasks,
 )
-from .solvers import solve_buchi
+from .solvers import _buchi
 from .templates import (
     ConflictReport,
     Template,
@@ -62,7 +63,11 @@ def compose(g: GameGraph, templates: Sequence[Template]) -> tuple[Template, Conf
             validate_template(g, t)
         except InputError as e:
             raise GameMismatch(f"template does not fit the game: {e}") from None
+    return _merge(g, templates)
 
+
+def _merge(g: GameGraph, templates: Sequence[Template]) -> tuple[Template, ConflictReport]:
+    """:func:`compose` without its checks, for templates known to fit `g`."""
     winning = frozenset(g.states)
     unsafe: dict[str, frozenset[str]] = {}
     colive: dict[str, frozenset[str]] = {}
@@ -132,8 +137,8 @@ def _conjunction_region(g: GameGraph, targets: Sequence[frozenset[str]]) -> froz
     the base states winning at counter 0 in one solve of the counter product.
     """
     pg, ptarget = counter_product(g, targets)
-    winning = solve_buchi(pg, ptarget).winning
-    return frozenset(v for v in g.states if _product_name(v, 0) in winning)
+    winning, _ = _buchi(pg, pg.mask(ptarget))
+    return frozenset(v for v in g.states if winning >> pg.index(_product_name(v, 0)) & 1)
 
 
 # -- incremental synthesis -----------------------------------------------------
@@ -167,11 +172,12 @@ def incremental_synthesize(
     """Add objectives one at a time, merging each new template into the
     previous step's merged template (`compose` is associative, so this
     equals composing the whole prefix) and reporting conflicts at each
-    step.  For all-buchi prefixes the exact conjunction region is computed
-    alongside as a permissiveness reference: one solve of the prefix's
-    counter product.  A one-objective prefix needs no product, since its
-    one-counter product is the base game renamed ``v@0``: its region is the
-    new template's winning region.
+    step; templates built here on `g` skip `compose`'s checks.  For
+    all-buchi prefixes the exact conjunction region is computed alongside as
+    a permissiveness reference: one solve of the prefix's counter product.
+    A one-objective prefix needs no product, since its one-counter product
+    is the base game renamed ``v@0``: its region is the new template's
+    winning region.
     """
     if not objectives:
         raise InputError("incremental synthesis needs at least one objective")
@@ -179,7 +185,7 @@ def incremental_synthesize(
     steps: list[IncrementalStep] = []
     for i, obj in enumerate(objectives, start=1):
         t = template_for(g, obj)
-        merged, report = compose(g, [t] if merged is None else [merged, t])
+        merged, report = _merge(g, [t] if merged is None else [merged, t])
         exact: Optional[frozenset[str]] = None
         if all(o.kind is ObjectiveKind.BUCHI for o in objectives[:i]):
             exact = t.winning if i == 1 else _conjunction_region(

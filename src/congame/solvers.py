@@ -1,14 +1,16 @@
 """Almost-sure winning region solvers for safety, repeated-visit (buchi)
 and eventually-stable (cobuchi) objectives.
 
-Each solver returns a :class:`RankDecomposition`: the winning region plus the
-increasing chain X0 <= X1 <= ... <= Xk = winning produced by the final round
-of the outer fixpoint.  The chain drives template synthesis: the cell
-Xi \\ Xi-1 collects states whose "progress" actions lead into Xi-1.
+Each solver's mask-level body returns the winning mask plus the strictly
+increasing chain X0 < X1 < ... < Xk = winning of the outer fixpoint's final
+round; ``solve_*`` packages it as a :class:`RankDecomposition` of names,
+while template synthesis reads the masks (:func:`_solve`).  The chain drives
+template synthesis: the cell Xi \\ Xi-1 collects states whose "progress"
+actions lead into Xi-1.
 
 Rank indices are 0-based; for cobuchi, rank 0 is the safety core where the
 play can be trapped forever, and for buchi, rank 0 is the empty set (the
-chain is prepended with X0 = {}).
+chain is prepended with X0 = {} unless the region is empty).
 
 Every loop is bounded by |V| + 1 effective rounds; exceeding the bound raises
 :class:`~congame.model.NonConvergence`, which the CLI maps to exit code 3.
@@ -79,16 +81,11 @@ class RankDecomposition:
 
 
 def _decomposition(g: GameGraph, winning_mask: int, chain: list[int]) -> RankDecomposition:
-    """Package an increasing chain, dropping repeated elements.  Each rank
-    is the previous one plus the states it adds."""
-    ranks: list[frozenset[str]] = []
-    prev_mask, prev = 0, frozenset()
-    for m in chain:
-        if ranks and m == prev_mask:
-            continue
-        prev = prev | g.unmask(m & ~prev_mask)
-        ranks.append(prev)
-        prev_mask = m
+    """Package a strictly increasing chain.  Each rank is the previous one
+    plus the states it adds."""
+    ranks = [g.unmask(chain[0])]
+    for lo, hi in zip(chain, chain[1:]):
+        ranks.append(ranks[-1] | g.unmask(hi & ~lo))
     return RankDecomposition(winning=g.unmask(winning_mask), ranks=tuple(ranks))
 
 
@@ -109,15 +106,17 @@ def _shrink(g: GameGraph, bound: int, keeps: Callable[[int, int], int], context:
     raise NonConvergence(context)
 
 
+def _safety(g: GameGraph, i_mask: int) -> tuple[int, list[int]]:
+    x = _shrink(g, i_mask, partial(pre1_mask, g), "safety fixpoint")
+    return x, [x]
+
+
 def solve_safety(g: GameGraph, target: Iterable[str]) -> RankDecomposition:
     """Largest subset of `target` that P1 can surely never leave."""
-    x = _shrink(g, g.mask(target), partial(pre1_mask, g), "safety fixpoint")
-    return _decomposition(g, x, [x])
+    return _decomposition(g, *_safety(g, g.mask(target)))
 
 
-def solve_buchi(g: GameGraph, target: Iterable[str]) -> RankDecomposition:
-    """States from which P1 visits `target` infinitely often almost surely."""
-    i_mask = g.mask(target)
+def _buchi(g: GameGraph, i_mask: int) -> tuple[int, list[int]]:
     not_i = g.full_mask & ~i_mask
     w = g.full_mask
     for _ in range(g.n_states + 1):
@@ -135,15 +134,18 @@ def solve_buchi(g: GameGraph, target: Iterable[str]) -> RankDecomposition:
         else:
             raise NonConvergence("buchi rank chain")
         if x == w:
-            return _decomposition(g, w, [0] + chain)
+            return w, [0] + chain if x1 else chain
         w = x
     raise NonConvergence("buchi outer fixpoint")
 
 
-def solve_cobuchi(g: GameGraph, target: Iterable[str]) -> RankDecomposition:
-    """States from which P1 eventually stays inside `target` almost surely.
+def solve_buchi(g: GameGraph, target: Iterable[str]) -> RankDecomposition:
+    """States from which P1 visits `target` infinitely often almost surely."""
+    return _decomposition(g, *_buchi(g, g.mask(target)))
 
-    Per rank the next element is the greatest Y with
+
+def _cobuchi(g: GameGraph, i_mask: int) -> tuple[int, list[int]]:
+    """Per rank the next element is the greatest Y with
     Y = cur | (I & Z & afpre1(Z, Y, cur)) | (~I & Z & apre1(Z, cur)).
     The apre1 term and the afpre1 term at Y = Z do not depend on Y; both are
     kept across ranks and grown as `cur` grows.  The Y loop is
@@ -151,7 +153,6 @@ def solve_cobuchi(g: GameGraph, target: Iterable[str]) -> RankDecomposition:
     first round re-checks every afpre1 member outside ``cur | ap``, later
     rounds only those that are predecessors of the states removed from Y.
     """
-    i_mask = g.mask(target)
     not_i = g.full_mask & ~i_mask
     z = g.full_mask
     for _ in range(g.n_states + 1):
@@ -175,14 +176,23 @@ def solve_cobuchi(g: GameGraph, target: Iterable[str]) -> RankDecomposition:
         else:
             raise NonConvergence("cobuchi rank chain")
         if cur == z:
-            return _decomposition(g, z, chain)
+            return z, chain
         z = cur
     raise NonConvergence("cobuchi outer fixpoint")
 
 
+def solve_cobuchi(g: GameGraph, target: Iterable[str]) -> RankDecomposition:
+    """States from which P1 eventually stays inside `target` almost surely."""
+    return _decomposition(g, *_cobuchi(g, g.mask(target)))
+
+
+def _solve(g: GameGraph, objective: Objective) -> tuple[int, list[int]]:
+    """The winning mask and rank chain of `objective` on `g`."""
+    kind = objective.kind
+    body = (_safety if kind is ObjectiveKind.SAFETY
+            else _buchi if kind is ObjectiveKind.BUCHI else _cobuchi)
+    return body(g, g.mask(objective.target))
+
+
 def solve(g: GameGraph, objective: Objective) -> RankDecomposition:
-    if objective.kind is ObjectiveKind.SAFETY:
-        return solve_safety(g, objective.target)
-    if objective.kind is ObjectiveKind.BUCHI:
-        return solve_buchi(g, objective.target)
-    return solve_cobuchi(g, objective.target)
+    return _decomposition(g, *_solve(g, objective))

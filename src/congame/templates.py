@@ -51,13 +51,13 @@ from .model import (
     _names_in,
 )
 from .operators import a_set_mask
-from .solvers import RankDecomposition, solve
+from .solvers import RankDecomposition, _solve
 
 
 def canonical_groups(groups: Iterable[Iterable[str]]) -> tuple[frozenset[str], ...]:
     """Deduplicate and order action groups deterministically."""
     uniq = {frozenset(h) for h in groups}
-    return tuple(sorted(uniq, key=sorted))
+    return tuple(sorted(uniq, key=sorted)) if len(uniq) > 1 else tuple(uniq)
 
 
 @dataclass(frozen=True)
@@ -149,32 +149,25 @@ def check_weight_params(eps_live: float, colive_base: float) -> None:
         raise InputError("colive_base must be positive and finite")
 
 
-def _leaving_actions(g: GameGraph, states: frozenset[str]) -> dict[str, frozenset[str]]:
-    """Per state of `states`, the P1 actions that can leave `states` (states
-    with none are omitted)."""
-    inside = g.mask(states)
+def _leaving_actions(g: GameGraph, inside: int) -> dict[str, frozenset[str]]:
+    """Per state of the mask `inside`, in index order, the P1 actions that
+    can leave it (states with none are omitted)."""
     out: dict[str, frozenset[str]] = {}
-    for v in sorted(states):
-        vi = g.index(v)
-        stay = a_set_mask(g, vi, inside, 0)
-        s = frozenset(a for i, a in enumerate(g.p1_names(vi)) if not stay >> i & 1)
-        if s:
-            out[v] = s
+    for vi, v in enumerate(g.states):
+        if inside >> vi & 1:
+            stay = a_set_mask(g, vi, inside, 0)
+            s = frozenset(a for i, a in enumerate(g.p1_names(vi)) if not stay >> i & 1)
+            if s:
+                out[v] = s
     return out
 
 
-def _rank_groups(
-    g: GameGraph,
-    v: str,
-    prev_rank: frozenset[str],
-    s: frozenset[str],
-) -> tuple[frozenset[str], ...]:
+def _rank_groups(g: GameGraph, v: str, prev: int, s: frozenset[str]) -> tuple[frozenset[str], ...]:
     # one group per opponent action: non-unsafe actions that step into the
-    # previous rank against it; duplicates collapse
+    # previous rank `prev` (a mask) against it; duplicates collapse
     offset, row, places = g.succ_row(v)
-    states = g.states
     return canonical_groups(
-        frozenset(a for a, i in offset.items() if a not in s and states[row[i + j]] in prev_rank)
+        frozenset(a for a, i in offset.items() if a not in s and prev >> row[i + j] & 1)
         for j in range(len(places)))
 
 
@@ -189,20 +182,19 @@ def template_for(
     when None the objective is solved here.
     """
     if decomp is None:
-        decomp = solve(g, objective)
-    unsafe = _leaving_actions(g, decomp.winning)
-    ranks = decomp.ranks
+        win, ranks = _solve(g, objective)
+    else:
+        win, ranks = g.mask(decomp.winning), [g.mask(x) for x in decomp.ranks]
+    unsafe = _leaving_actions(g, win)
     colive: dict[str, frozenset[str]] = {}
     if objective.kind is ObjectiveKind.COBUCHI:
-        for v, leaving in _leaving_actions(g, ranks[0]).items():
-            c = leaving - unsafe.get(v, frozenset())
-            if c:
-                colive[v] = c
+        colive = {v: c for v, leaving in _leaving_actions(g, ranks[0]).items()
+                  if (c := leaving - unsafe.get(v, frozenset()))}
     live: dict[str, tuple[frozenset[str], ...]] = {}
     partition: list[frozenset[str]] = []
     first = 2 if objective.kind is ObjectiveKind.BUCHI else 1
     for i in range(first, len(ranks)):
-        cell = ranks[i] - ranks[i - 1]
+        cell = g.unmask(ranks[i] & ~ranks[i - 1])
         partition.append(cell)
         for v in sorted(cell):
             live[v] = _rank_groups(g, v, ranks[i - 1], unsafe.get(v, frozenset()))
@@ -210,7 +202,7 @@ def template_for(
         if v not in live:
             live[v] = (frozenset(g.p1_actions(v)) - unsafe.get(v, frozenset()),)
     return Template(
-        winning=decomp.winning, unsafe=unsafe, live=live,
+        winning=g.unmask(win), unsafe=unsafe, live=live,
         partition=tuple(partition), colive=colive,
         objective_tag=objective.kind.value,
     )
