@@ -96,11 +96,12 @@ class _Plan:
     give each allowed action's reward against each action of ``p2``;
     ``succ`` maps (P1, P2) actions to (successor, its reward).  ``move`` holds
     the first visit's move, verdict and draw table ``(d, ok, acts, cums)`` at
-    a state with one P2 action and no colive action.
+    a state with one P2 action and no colive action.  ``rule`` is the opponent's
+    rule here (``strategies.Rule``), set at the first pick, after the step's errors.
     """
 
     __slots__ = ("state", "floor", "checks", "pools", "colive", "allowed", "rest",
-                 "p2", "p2_index", "counts", "rows", "succ", "move")
+                 "p2", "p2_index", "counts", "rows", "succ", "move", "rule")
 
     def __init__(self, g: GameGraph, t: Template, v: str, reward: RewardSpec,
                  eps_live: float):
@@ -265,6 +266,7 @@ def run_adaptive(
     if not 0.0 < alpha < math.inf:
         raise InputError("alpha must be positive and finite")
     rng = random.Random(seed)
+    rule_of = getattr(opponent, "rule", None)
     plans: dict[str, _Plan] = {}
     v = start
     visits: dict[str, int] = {}
@@ -297,7 +299,10 @@ def run_adaptive(
             a = acts[bisect_right(cums, rng.random())]
         if not ok:
             violations += 1
-        b = opponent.pick(g, v, d, rng)
+        if not n:  # the first pick here builds the rule
+            plan.rule = rule_of and rule_of(g, v)
+        b = opponent.pick(g, v, d, rng) if (rule := plan.rule) is None else rule \
+            if rule.__class__ is str else rule[0][bisect_right(rule[1], rng.random())]
         # update_model, in place
         bi = plan.p2_index.get(b)
         if bi is None:

@@ -376,24 +376,35 @@ def _draws(d: ActionDistribution) -> tuple[tuple[str, ...], list[float]]:
     return acts + acts[-1:], list(accumulate(weights))
 
 
-class UniformRandom:
-    """Opponent playing uniformly at random at every state."""
+# An opponent's `rule(g, v)`, built once per visited state by the episode loops: a
+# fixed action (no draw), a draw table of `_draws` (one draw) or None (ask `pick`).
+Rule = Union[str, tuple[tuple[str, ...], list[float]], None]
+
+
+class _Stationary:
+    """An opponent whose every pick plays its rule, which is never None."""
 
     def pick(self, g: GameGraph, v: str, d1: ActionDistribution, rng: random.Random) -> str:
-        return _sample(rng, ActionDistribution.uniform(g.p2_actions(v)))
+        rule = self.rule(g, v)
+        return rule if isinstance(rule, str) else rule[0][bisect_right(rule[1], rng.random())]
+
+
+class UniformRandom(_Stationary):
+    """Opponent playing uniformly at random at every state."""
+
+    def rule(self, g: GameGraph, v: str) -> Rule:
+        return _draws(ActionDistribution.uniform(g.p2_actions(v)))
 
 
 @dataclass(frozen=True)
-class FixedSchedule:
+class FixedSchedule(_Stationary):
     """Stationary stochastic opponent: a fixed distribution per state.
 
     States missing from the table fall back to the lexicographically first
-    action.
+    action.  A row is checked against the game whenever its rule is built.
     """
 
     table: Mapping[str, ActionDistribution] = field(default_factory=dict)
-    # (game, state) pairs whose row has been checked against the game
-    _checked: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_dict(raw: Mapping, g: GameGraph) -> "FixedSchedule":
@@ -405,14 +416,12 @@ class FixedSchedule:
             g.action_mask(v, row, player=2)
         return FixedSchedule({v: ActionDistribution.from_mapping(row) for v, row in raw.items()})
 
-    def pick(self, g: GameGraph, v: str, d1: ActionDistribution, rng: random.Random) -> str:
+    def rule(self, g: GameGraph, v: str) -> Rule:
         d = self.table.get(v)
         if d is None:
             return g.p2_actions(v)[0]
-        if (g, v) not in self._checked:
-            g.action_mask(v, d.support, player=2)
-            self._checked.add((g, v))
-        return _sample(rng, d)
+        g.action_mask(v, d.support, player=2)
+        return _draws(d)
 
 
 @dataclass(frozen=True)
@@ -428,6 +437,9 @@ class GreedyAdversary:
     def __post_init__(self):
         object.__setattr__(self, "_first_rank", {
             w: i for i, x in reversed(tuple(enumerate(self.ranks))) for w in x})
+
+    def rule(self, g: GameGraph, v: str) -> Rule:
+        return None  # the choice depends on P1's mixed action
 
     def pick(self, g: GameGraph, v: str, d1: ActionDistribution, rng: random.Random) -> str:
         rank, lost = self._first_rank.get, len(self.ranks)
@@ -479,8 +491,9 @@ def _run_episode(
     states = g.states
     v = start
     visits: dict[str, int] = {}
-    # per visited state, its successor lookup (the strategy's actions are
-    # checked); per all-constant row, its distribution and draw table
+    # per visited state, its successor lookup (the strategy's actions are checked)
+    # and the opponent's rule; per all-constant row, its distribution and draw table
+    rule_of = getattr(opponent, "rule", None)
     lookups: dict[str, tuple] = {}
     fixed: dict[str, tuple] = {}
     steps: list[tuple[str, str, str, str]] = []
@@ -496,8 +509,10 @@ def _run_episode(
         else:
             d1, acts, cums = row
             a = acts[bisect_right(cums, rng.random())]
-        b = opponent.pick(g, v, d1, rng)
-        offset, succ, places = lookups.get(v) or lookups.setdefault(v, g.succ_row(v))
+        offset, succ, places, rule = lookups.get(v) or lookups.setdefault(
+            v, (*g.succ_row(v), rule_of and rule_of(g, v)))  # built at the first pick
+        b = opponent.pick(g, v, d1, rng) if rule is None else rule if rule.__class__ is str \
+            else rule[0][bisect_right(rule[1], rng.random())]
         bi = places.get(b)
         if bi is None:
             raise UnknownAction(v, b, player=2)

@@ -25,7 +25,9 @@ from congame import (
     UnknownAction,
     UnknownState,
     adapt_step,
+    extract_strategy,
     run_adaptive,
+    simulate,
     solve,
     template_for,
     update_model,
@@ -410,6 +412,61 @@ class TestLoopEqualsReference:
         with pytest.raises(UnknownAction, match="unknown player-2 action 'zz' at state 'S2'"):
             run_adaptive(cobuchi_game, t, RewardSpec({}), Bogus(),
                          horizon=3, seed=0, start="S2")
+
+
+class TestBadOpponentRow:
+    """A FixedSchedule built in code skips from_dict's checks, so a row naming
+    an action the game lacks is found by the episode loops, on the row's
+    state's first visit, after the errors that the step raises before it."""
+
+    BAD = FixedSchedule({"S2": ActionDistribution.point("z")})
+    MESSAGE = "^unknown player-2 action 'z' at state 'S2'$"
+
+    @pytest.fixture
+    def loops(self, cobuchi_game, cobuchi_objective):
+        """Both episode loops on the cobuchi game, as the states each step
+        plays at, by start and horizon: S4 steps to S2, which steps to S0, S3
+        or S4; S0 is absorbing."""
+        t = template_for(cobuchi_game, cobuchi_objective)
+        s = extract_strategy(cobuchi_game, t)
+
+        def adaptive(start, horizon, **kw):
+            run = run_adaptive(cobuchi_game, t, RewardSpec({}), self.BAD,
+                               horizon=horizon, seed=0, start=start, **kw)
+            return [v for _, v, *_ in run.rows]
+
+        def simulated(start, horizon):
+            (log,) = simulate(cobuchi_game, s, self.BAD, horizon=horizon, episodes=1,
+                              seed=0, start=start)
+            return [v for v, *_ in log.steps]
+
+        return adaptive, simulated
+
+    @pytest.mark.parametrize("loop", [0, 1])
+    def test_raises_on_the_first_visit(self, loops, loop):
+        run = loops[loop]
+        assert run("S4", 1) == ["S4"]  # ends on S2 without playing there
+        for start, horizon in (("S2", 1), ("S4", 2), ("S4", 50)):
+            with pytest.raises(UnknownAction, match=self.MESSAGE) as e:
+                run(start, horizon)
+            assert (e.value.state, e.value.action, e.value.player) == ("S2", "z", 2)
+
+    @pytest.mark.parametrize("loop", [0, 1])
+    def test_unvisited_row_never_raises(self, loops, loop):
+        assert loops[loop]("S0", 50) == ["S0"] * 50
+
+    def test_step_errors_come_first(self, cobuchi_game, cobuchi_objective, loops):
+        # S2's plan has no move
+        t = template_for(cobuchi_game, cobuchi_objective)
+        no_move = Template(t.winning, {**t.unsafe, "S2": frozenset(cobuchi_game.p1_actions("S2"))},
+                           t.live, t.partition, t.colive, "hand-built")
+        with pytest.raises(Infeasible, match="cannot adapt at 'S2': every action is unsafe"):
+            run_adaptive(cobuchi_game, no_move, RewardSpec({}), self.BAD,
+                         horizon=5, seed=0, start="S4")
+        # an alpha that underflows every share of S2's three-action estimate
+        with pytest.raises(InputError, match="^distribution has empty support$") as e:
+            loops[0]("S2", 5, alpha=1e308)
+        assert type(e.value) is InputError
 
 
 class TestFixedMoves:

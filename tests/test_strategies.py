@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -39,10 +40,11 @@ from congame import (
     validate_strategy,
     verify_memoryless,
 )
+from congame.corpus import rand_int, random_game, random_subset
 from congame.strategies import _draws, _sample
 
 from .conftest import GAMES, game_graphs, games_with_objective, load_fixture
-from .oracles import oracle_verify
+from .oracles import _supports, oracle_verify
 
 
 def load_strategy(name: str) -> ScheduleStrategy:
@@ -468,6 +470,46 @@ class TestVerifyMemoryless:
         assert decomp.winning <= verify_memoryless(g, s, obj)
 
 
+class TestSupportProfiles:
+    """Regions and templates checked against strategies, not formulas: every
+    profile of P1 supports (one nonempty action set per state) as a uniform
+    constant strategy, verified by the brute-force oracle.
+
+    Memoryless randomized strategies suffice for almost-sure safety and buchi
+    (de Alfaro, Henzinger and Kupferman, TCS 2007; de Alfaro and Henzinger,
+    LICS 2000), so the union of the profiles' regions is the winning region;
+    for cobuchi only its inclusion holds in general.  A profile that the
+    template calls compliant must win from the whole winning region.
+
+    The converse does not hold: templates are not maximally permissive.  Over
+    3,000 seeded arenas of 2-4 states, 4,234 profiles won on all of W yet
+    were noncompliant (of the 3,680 in arenas 600-2,999: 2,626 failed a buchi
+    live group, 911 a cobuchi colive set, 143 a cobuchi live group), because
+    live groups are kept per state, not over a cell.  So that is not checked.
+    """
+
+    @given(st.integers(0, 2 ** 32), st.integers(2, 4), st.sampled_from(list(ObjectiveKind)))
+    @settings(max_examples=300)
+    def test_union_of_profile_regions_is_the_winning_region(self, seed, n, kind):
+        rng = random.Random(seed)
+        g = random_game(rng, n_states=n)
+        obj = Objective(kind, random_subset(rng, g.states, 1 + rand_int(rng, n)))
+        t = template_for(g, obj)
+        won = solve(g, obj).winning
+        union: frozenset[str] = frozenset()
+        for profile in itertools.product(*(list(_supports(g.p1_actions(v))) for v in g.states)):
+            s = ScheduleStrategy({v: dict.fromkeys(acts, Constant(1.0))
+                                  for v, acts in zip(g.states, profile)})
+            region = oracle_verify(g, s, obj)
+            union |= region
+            if check_compliance(g, t, s).compliant:
+                assert won <= region, (profile, sorted(region))
+        if kind is ObjectiveKind.COBUCHI:
+            assert union <= won
+        else:
+            assert union == won
+
+
 class TestOpponents:
     def test_fixed_schedule_from_dict(self, cobuchi_game):
         opp = FixedSchedule.from_dict({"S2": {"d": 0.5, "e": 0.5, "f": 0}}, cobuchi_game)
@@ -500,6 +542,38 @@ class TestOpponents:
         with pytest.raises(UnknownAction):
             opp.pick(cobuchi_game, "S2", ActionDistribution.point("a"),
                      random.Random(0))
+
+    @given(st.integers(0, 2 ** 32), st.integers(1, 5), st.data())
+    @settings(max_examples=60)
+    def test_rule_plays_as_pick(self, game_seed, n, data):
+        # rows missing, of one action, or uniform over a random subset; the
+        # rule is played as the episode loops play it, next to pick and to a
+        # reference: the lexicographically first action without a draw where
+        # a fixed schedule has no row, else one _sample of the distribution
+        g = random_game(random.Random(game_seed), n_states=n)
+        table = {}
+        for v in g.states:
+            acts = data.draw(st.lists(st.sampled_from(g.p2_actions(v)), unique=True, max_size=3))
+            if acts:
+                table[v] = ActionDistribution.uniform(acts[:data.draw(st.sampled_from([1, 3]))])
+        d1 = ActionDistribution.point("a")
+        for opp in (UniformRandom(), FixedSchedule(table)):
+            for v in g.states:
+                d = ActionDistribution.uniform(g.p2_actions(v)) \
+                    if isinstance(opp, UniformRandom) else table.get(v)
+                rule = opp.rule(g, v)
+                seed = data.draw(st.integers(0, 2 ** 32))
+                played, picked, want = (random.Random(seed) for _ in range(3))
+                got = [rule if isinstance(rule, str)
+                       else rule[0][bisect_right(rule[1], played.random())] for _ in range(50)]
+                assert got == [opp.pick(g, v, d1, picked) for _ in range(50)]
+                assert got == [g.p2_actions(v)[0] if d is None else _sample(want, d)
+                               for _ in range(50)]
+                assert played.getstate() == picked.getstate() == want.getstate()
+
+    def test_greedy_rule_is_none(self, cobuchi_game, cobuchi_objective):
+        adv = GreedyAdversary(solve(cobuchi_game, cobuchi_objective).ranks)
+        assert all(adv.rule(cobuchi_game, v) is None for v in cobuchi_game.states)
 
     def test_greedy_prefers_high_rank_successor(self, cobuchi_game, cobuchi_objective):
         ranks = solve(cobuchi_game, cobuchi_objective).ranks
