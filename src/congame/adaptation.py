@@ -16,15 +16,15 @@ import math
 import random
 from bisect import bisect_right
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import (
     ActionDistribution,
     GameGraph,
     InputError,
     UnknownAction,
+    _EMPTY,
     _all_finite,
     _sum_lr,
 )
@@ -40,11 +40,10 @@ class Infeasible(InputError):
         self.state = state
 
 
-@dataclass(frozen=True)
-class RewardSpec:
+class RewardSpec(NamedTuple):
     """State rewards collected on entering a state (absent states pay 0)."""
 
-    weights: Mapping[str, float] = field(default_factory=dict)
+    weights: Mapping[str, float] = _EMPTY
 
     def at(self, v: str) -> float:
         return float(self.weights.get(v, 0.0))
@@ -60,12 +59,11 @@ class RewardSpec:
         return {v: w for v, w in sorted(self.weights.items())}
 
 
-@dataclass(frozen=True)
-class OpponentModel:
+class OpponentModel(NamedTuple):
     """Laplace-smoothed per-state frequency estimate of the opponent."""
 
     alpha: float = 1.0
-    counts: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
+    counts: Mapping[str, Mapping[str, int]] = _EMPTY
 
     def estimate(self, g: GameGraph, v: str) -> ActionDistribution:
         acts = g.p2_actions(v)
@@ -90,8 +88,8 @@ class _Plan:
     Built on the state's first visit, so a state where the template leaves
     no move raises :class:`Infeasible` on the step that reaches it, and an
     unvisited state never raises.  Action tuples are sorted, so ties still
-    break lexicographically.  ``checks`` is what :func:`_check_step` holds
-    a move to; ``pools`` are the persistent members of each live group that
+    break lexicographically.  ``checks`` is what :func:`_complies` holds
+    each move to; ``pools`` are the persistent members of each live group that
     has one; ``counts`` are the opponent's, per action of ``p2``; ``rows``
     give each allowed action's reward against each action of ``p2``;
     ``succ`` maps (P1, P2) actions to (successor, its reward).  ``move`` holds
@@ -189,8 +187,7 @@ def adapt_step(
     return ActionDistribution.from_mapping(dict(d.probs))
 
 
-@dataclass
-class AdaptiveRun:
+class AdaptiveRun(NamedTuple):
     """Trace of one adaptive episode.
 
     Rows are (step, state, chosen_action, opponent_action, reward,
@@ -207,20 +204,6 @@ class AdaptiveRun:
         for step, v, a, b, r, cum in self.rows:
             lines.append(f"{step},{v},{a},{b},{r},{cum}")
         return "\n".join(lines) + "\n"
-
-
-def _check_step(
-    g: GameGraph,
-    t: Template,
-    v: str,
-    visit: int,
-    d: ActionDistribution,
-    eps_live: float,
-    colive_base: float,
-) -> bool:
-    unsafe, colive, persistent = t.split_at(g, v)
-    groups = tuple(h for h in t.groups_at(v) if h & persistent)
-    return _complies((unsafe, colive, t.live_floor(v, eps_live), groups), d, visit, colive_base)
 
 
 def _complies(checks: tuple, d: ActionDistribution, visit: int, colive_base: float) -> bool:

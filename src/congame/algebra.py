@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .corpus import random_game, random_subset
 from .model import (
@@ -143,8 +142,7 @@ def _conjunction_region(g: GameGraph, targets: Sequence[frozenset[str]]) -> froz
 
 # -- incremental synthesis -----------------------------------------------------
 
-@dataclass(frozen=True)
-class IncrementalStep:
+class IncrementalStep(NamedTuple):
     """State of the incremental pipeline after adding one more objective."""
 
     index: int
@@ -196,8 +194,7 @@ def incremental_synthesize(
 
 # -- randomized batch harness --------------------------------------------------
 
-@dataclass(frozen=True)
-class HeatmapRow:
+class HeatmapRow(NamedTuple):
     objective_size: int
     objectives_added: int
     conflict_fraction: float

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import statistics
+import math
 import sys
 from typing import Optional
 
@@ -207,7 +207,7 @@ def cmd_compare(args) -> None:
         (log,) = simulate(g, s, opponent, horizon=args.horizon, episodes=1,
                           seed=seed, start=args.start)
         fixed.append(_sum_lr(reward.at(nxt) for *_, nxt in log.steps))
-    mean_a, mean_f = statistics.fmean(adaptive), statistics.fmean(fixed)
+    mean_a, mean_f = math.fsum(adaptive) / len(adaptive), math.fsum(fixed) / len(fixed)
     _write_text(f"pairs:            {args.pairs}\nhorizon:          {args.horizon}\n"
                 f"adaptive mean:    {mean_a:.2f}\nfixed mean:       {mean_f:.2f}\n"
                 f"lift:             {mean_a - mean_f:+.2f}\nviolations:       {violations}\n",

@@ -29,7 +29,7 @@ through it, and winning player-1 states carry over directly.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .model import (
     GameGraph,
@@ -59,8 +59,7 @@ class NonRectangularActions(InputError):
         self.state = state
 
 
-@dataclass(frozen=True)
-class TurnBasedGame:
+class TurnBasedGame(NamedTuple):
     owners: Mapping[str, int]
     moves: Mapping[str, Mapping[str, str]]  # src -> label -> dst
     winning_kind: str  # "transitions" | "states"
@@ -138,8 +137,7 @@ def load_turn_based(path: str) -> TurnBasedGame:
     return tb_from_dict(read_json(path))
 
 
-@dataclass(frozen=True)
-class ConversionStats:
+class ConversionStats(NamedTuple):
     p1_states: int
     p2_states: int
     merged_transitions: int
@@ -147,7 +145,7 @@ class ConversionStats:
     self_loops_added: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def convert(tb: TurnBasedGame) -> tuple[GameGraph, Objective, ConversionStats]:

@@ -29,9 +29,8 @@ from functools import reduce
 from itertools import chain, product
 from operator import add, itemgetter
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 
 class CongameError(Exception):
@@ -86,8 +85,7 @@ class ObjectiveKind(str, Enum):
     COBUCHI = "cobuchi"
 
 
-@dataclass(frozen=True)
-class Objective:
+class Objective(NamedTuple):
     """A winning condition over infinite plays.
 
     safety: stay in `target` forever; buchi: visit `target` infinitely
@@ -337,8 +335,7 @@ class GameGraph:
         return self._p2[vi]
 
 
-@dataclass(frozen=True)
-class ActionDistribution:
+class ActionDistribution(NamedTuple):
     """A probability distribution over finitely many actions.
 
     Weights must be positive on the support and sum to 1 within 1e-9; zero
@@ -388,6 +385,28 @@ class ActionDistribution:
 
     def to_dict(self) -> dict[str, float]:
         return dict(self.probs)
+
+
+class _EmptyMapping(Mapping):
+    """An immutable empty mapping that pickles (a ``MappingProxyType`` does
+    not): the default table of the records, which they share safely."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __repr__(self) -> str:
+        return "{}"
+
+
+_EMPTY: Mapping = _EmptyMapping()
 
 
 # -- serialization ---------------------------------------------------------

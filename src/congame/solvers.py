@@ -43,15 +43,14 @@ from |V| per round to the predecessors of what changed.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .model import GameGraph, NonConvergence, Objective, ObjectiveKind
 from .operators import afpre1_mask, apre1_mask, pre1_mask
 
 
-@dataclass(frozen=True)
-class RankDecomposition:
+class RankDecomposition(NamedTuple):
     """Winning region together with its rank chain.
 
     `ranks` is strictly increasing except for the degenerate single-element

@@ -28,10 +28,9 @@ import random
 from bisect import bisect_right
 from itertools import accumulate, chain
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .model import (
     ActionDistribution,
@@ -41,6 +40,7 @@ from .model import (
     ObjectiveKind,
     UnknownAction,
     UnknownState,
+    _EMPTY,
     _all_finite,
     _all_of,
     _MAX_FLOAT,
@@ -82,13 +82,11 @@ class NonConstantSchedule(InputError):
         self.state, self.action = state, action
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(NamedTuple):
     p: float
 
 
-@dataclass(frozen=True)
-class Geometric:
+class Geometric(NamedTuple):
     c: float
     r: float
 
@@ -96,8 +94,7 @@ class Geometric:
 Schedule = Union[Constant, Geometric]
 
 
-@dataclass(frozen=True)
-class ScheduleStrategy:
+class ScheduleStrategy(NamedTuple):
     """Per-state action schedules; weights renormalized at every visit."""
 
     schedules: Mapping[str, Mapping[str, Schedule]]
@@ -236,8 +233,7 @@ def extract_strategy(
 
 # -- compliance --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComplianceVerdict:
+class ComplianceVerdict(NamedTuple):
     status: str  # "compliant" | "noncompliant" | "unknown"
     state: Optional[str] = None
     clause: Optional[str] = None  # "unsafe" | "colive" | "live"
@@ -384,6 +380,8 @@ Rule = Union[str, tuple[tuple[str, ...], list[float]], None]
 class _Stationary:
     """An opponent whose every pick plays its rule, which is never None."""
 
+    __slots__ = ()
+
     def pick(self, g: GameGraph, v: str, d1: ActionDistribution, rng: random.Random) -> str:
         rule = self.rule(g, v)
         return rule if isinstance(rule, str) else rule[0][bisect_right(rule[1], rng.random())]
@@ -396,7 +394,6 @@ class UniformRandom(_Stationary):
         return _draws(ActionDistribution.uniform(g.p2_actions(v)))
 
 
-@dataclass(frozen=True)
 class FixedSchedule(_Stationary):
     """Stationary stochastic opponent: a fixed distribution per state.
 
@@ -404,7 +401,13 @@ class FixedSchedule(_Stationary):
     action.  A row is checked against the game whenever its rule is built.
     """
 
-    table: Mapping[str, ActionDistribution] = field(default_factory=dict)
+    __slots__ = ("table",)
+
+    def __init__(self, table: Mapping[str, ActionDistribution] = _EMPTY):
+        self.table = table
+
+    def __eq__(self, other):
+        return self.table == other.table if other.__class__ is self.__class__ else NotImplemented
 
     @staticmethod
     def from_dict(raw: Mapping, g: GameGraph) -> "FixedSchedule":
@@ -424,19 +427,23 @@ class FixedSchedule(_Stationary):
         return _draws(d)
 
 
-@dataclass(frozen=True)
 class GreedyAdversary:
     """One-step minimizer of P1 progress: picks the opponent action that
     maximizes the expected rank of the successor under P1's mixed action
     (losing states count as one past the last rank).  Ties go lexicographic.
     """
 
-    ranks: tuple[frozenset[str], ...]
-    _first_rank: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("ranks", "_first_rank")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_first_rank", {
-            w: i for i, x in reversed(tuple(enumerate(self.ranks))) for w in x})
+    def __init__(self, ranks: tuple[frozenset[str], ...]):
+        self.ranks = ranks
+        self._first_rank = {w: i for i, x in reversed(tuple(enumerate(ranks))) for w in x}
+
+    def __eq__(self, other):
+        return self.ranks == other.ranks if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.ranks)
 
     def rule(self, g: GameGraph, v: str) -> Rule:
         return None  # the choice depends on P1's mixed action
@@ -455,8 +462,7 @@ class GreedyAdversary:
 Opponent = Union[UniformRandom, FixedSchedule, GreedyAdversary]
 
 
-@dataclass
-class EpisodeLog:
+class EpisodeLog(NamedTuple):
     episode: int
     seed: int
     start: str

@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from itertools import chain
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import (
     GameGraph,
@@ -60,8 +59,7 @@ def canonical_groups(groups: Iterable[Iterable[str]]) -> tuple[frozenset[str], .
     return tuple(sorted(uniq, key=sorted)) if len(uniq) > 1 else tuple(uniq)
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(NamedTuple):
     winning: frozenset[str]
     unsafe: Mapping[str, frozenset[str]]
     live: Mapping[str, tuple[frozenset[str], ...]]
@@ -208,8 +206,7 @@ def template_for(
     )
 
 
-@dataclass(frozen=True)
-class Conflict:
+class Conflict(NamedTuple):
     state: str
     clause: str
     witness: tuple[str, ...]
@@ -218,8 +215,7 @@ class Conflict:
         return {"state": self.state, "clause": self.clause, "witness": list(self.witness)}
 
 
-@dataclass(frozen=True)
-class ConflictReport:
+class ConflictReport(NamedTuple):
     conflicts: tuple[Conflict, ...]
 
     @property

@@ -33,7 +33,7 @@ from congame import (
     update_model,
 )
 from congame import adaptation
-from congame.adaptation import _check_step
+from congame.adaptation import _complies
 from congame.corpus import random_game
 from congame.strategies import _sample
 
@@ -283,7 +283,7 @@ def reference_run(g, t, reward, opponent, horizon, seed, start,
                   eps_live=0.1, colive_base=0.25, alpha=1.0):
     """An adaptive episode assembled from the public step functions: the
     estimate and the move rebuilt by adapt_step, the counts copied by
-    update_model at every step."""
+    update_model and the template's constraints read again at every step."""
     rng = random.Random(seed)
     model = OpponentModel(alpha=alpha)
     v = start
@@ -295,7 +295,10 @@ def reference_run(g, t, reward, opponent, horizon, seed, start,
         n = visits.get(v, 0)
         visits[v] = n + 1
         d = adapt_step(g, t, v, n, model, reward, eps_live, colive_base)
-        if not _check_step(g, t, v, n, d, eps_live, colive_base):
+        unsafe, colive, persistent = t.split_at(g, v)
+        groups = tuple(h for h in t.groups_at(v) if h & persistent)
+        checks = (unsafe, colive, t.live_floor(v, eps_live), groups)
+        if not _complies(checks, d, n, colive_base):
             violations += 1
         a = _sample(rng, d)
         b = opponent.pick(g, v, d, rng)
