@@ -28,7 +28,7 @@ from .model import (
     _all_finite,
     _sum_lr,
 )
-from .strategies import Opponent, _draws, _sample
+from .strategies import Opponent, _outcomes, _sample
 from .templates import Template, check_weight_params
 
 
@@ -92,14 +92,15 @@ class _Plan:
     each move to; ``pools`` are the persistent members of each live group that
     has one; ``counts`` are the opponent's, per action of ``p2``; ``rows``
     give each allowed action's reward against each action of ``p2``;
-    ``succ`` maps (P1, P2) actions to (successor, its reward).  ``move`` holds
-    the first visit's move, verdict and draw table ``(d, ok, acts, cums)`` at
-    a state with one P2 action and no colive action.  ``rule`` is the opponent's
-    rule here (``strategies.Rule``), set at the first pick, after the step's errors.
+    ``succ`` maps (P1, P2) actions to (successor, its reward, P2 index).  At a
+    state with one P2 action and no colive action, ``move`` holds what
+    ``strategies._outcomes`` keeps of the first step's move, then its verdict.
+    ``rule`` is the opponent's rule here (``strategies.Rule``), set at the first
+    pick, after the step's errors.
     """
 
     __slots__ = ("state", "floor", "checks", "pools", "colive", "allowed", "rest",
-                 "p2", "p2_index", "counts", "rows", "succ", "move", "rule")
+                 "p2", "counts", "rows", "succ", "move", "rule")
 
     def __init__(self, g: GameGraph, t: Template, v: str, reward: RewardSpec,
                  eps_live: float):
@@ -118,14 +119,13 @@ class _Plan:
         self.allowed = tuple(sorted(colive | rest))
         self.rest = tuple(sorted(rest))
         self.p2 = g.p2_actions(v)
-        self.p2_index = {b: i for i, b in enumerate(self.p2)}
         self.counts = [0] * len(self.p2)
-        self.move: Optional[tuple[ActionDistribution, bool, tuple[str, ...], list[float]]] = None
+        self.move: Optional[tuple] = None
         self.succ = {}
         for a in self.allowed:
-            for b in self.p2:
+            for bi, b in enumerate(self.p2):
                 w = g.succ(v, a, b)
-                self.succ[a, b] = (w, reward.at(w))
+                self.succ[a, b] = (w, reward.at(w), bi)
         self.rows = tuple((a, [self.succ[a, b][1] for b in self.p2])
                           for a in self.allowed)
 
@@ -274,24 +274,26 @@ def run_adaptive(
                 ActionDistribution.from_mapping(dict(zip(plan.p2, est)))
             d = _greedy(plan, est, n, colive_base)
             ok = _complies(plan.checks, d, n, colive_base)
-            if len(plan.p2) == 1 and not plan.colive:  # estimate 1.0, no visit cap
-                plan.move = (d, ok, *_draws(d))
             a = _sample(rng, d)  # drawn once; only a stored move gets a draw table
         else:
-            d, ok, acts, cums = move
-            a = acts[bisect_right(cums, rng.random())]
+            d, table, cums, rule_cums, ok = move
+            a = table[bisect_right(cums, rng.random())]
+        if d is None:  # `a` is the step's outcome
+            a, b, w, r, bi = a if rule_cums is None else a[bisect_right(rule_cums, rng.random())]
+        else:
+            if not n:  # the first pick here builds the rule, then a fixed move's table
+                rule = plan.rule = rule_of and rule_of(g, v)
+                if len(plan.p2) == 1 and not plan.colive:  # estimate 1.0, no visit cap
+                    plan.move = (*_outcomes(d, rule, lambda a, b: (a, b, *plan.succ[a, b])), ok)
+            b = opponent.pick(g, v, d, rng) if (rule := plan.rule) is None else rule \
+                if rule.__class__ is str else rule[0][bisect_right(rule[1], rng.random())]
+            out = plan.succ.get((a, b))
+            if out is None:
+                raise UnknownAction(v, b, player=2)
+            w, r, bi = out
         if not ok:
             violations += 1
-        if not n:  # the first pick here builds the rule
-            plan.rule = rule_of and rule_of(g, v)
-        b = opponent.pick(g, v, d, rng) if (rule := plan.rule) is None else rule \
-            if rule.__class__ is str else rule[0][bisect_right(rule[1], rng.random())]
-        # update_model, in place
-        bi = plan.p2_index.get(b)
-        if bi is None:
-            raise UnknownAction(v, b, player=2)
-        plan.counts[bi] += 1
-        w, r = plan.succ[a, b]
+        plan.counts[bi] += 1  # update_model, in place
         cum += r
         rows.append((step, v, a, b, r, cum))
         v = w

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from itertools import accumulate, chain
-from collections.abc import Iterable, Mapping
+from itertools import accumulate, chain, takewhile
+from collections.abc import Callable, Iterable, Mapping
 from functools import partial
 from operator import itemgetter
 from typing import NamedTuple, Optional, Union
@@ -377,28 +377,46 @@ def _draws(d: ActionDistribution) -> tuple[tuple[str, ...], list[float]]:
 Rule = Union[str, tuple[tuple[str, ...], list[float]], None]
 
 
+def _outcomes(d: ActionDistribution, rule: Rule, outcome: Callable, rest=None) -> tuple:
+    """What an episode loop keeps for a state with the fixed P1 row `d` once `rule` is built:
+    ``(None, table, cums, rule_cums)``, `d`'s `_draws` with each action replaced by its step's
+    `outcome` ``(a, b)``, or by their list over `rule`'s draw table if it has one; or, if `rule`
+    is None or names an action that `outcome` raises on, ``(d, acts, cums, rest)``."""
+    acts, cums = _draws(d)
+    try:
+        if rule.__class__ is str:
+            return None, [outcome(a, rule) for a in acts], cums, None
+        if rule is not None:
+            return None, [[outcome(a, b) for b in rule[0]] for a in acts], cums, rule[1]
+    except (KeyError, UnknownAction):
+        pass
+    return d, acts, cums, rest
+
+
 class _Stationary:
-    """An opponent whose every pick plays its rule, which is never None."""
+    """An opponent playing one row per state: a fixed action or a distribution."""
 
     __slots__ = ()
 
+    def rule(self, g: GameGraph, v: str) -> Rule:
+        return row if isinstance(row := self._row(g, v), str) else _draws(row)
+
     def pick(self, g: GameGraph, v: str, d1: ActionDistribution, rng: random.Random) -> str:
-        rule = self.rule(g, v)
-        return rule if isinstance(rule, str) else rule[0][bisect_right(rule[1], rng.random())]
+        return row if isinstance(row := self._row(g, v), str) else _sample(rng, row)
 
 
 class UniformRandom(_Stationary):
     """Opponent playing uniformly at random at every state."""
 
-    def rule(self, g: GameGraph, v: str) -> Rule:
-        return _draws(ActionDistribution.uniform(g.p2_actions(v)))
+    def _row(self, g: GameGraph, v: str) -> ActionDistribution:
+        return ActionDistribution.uniform(g.p2_actions(v))
 
 
 class FixedSchedule(_Stationary):
     """Stationary stochastic opponent: a fixed distribution per state.
 
     States missing from the table fall back to the lexicographically first
-    action.  A row is checked against the game whenever its rule is built.
+    action.  A row is checked against the game whenever it is read.
     """
 
     __slots__ = ("table",)
@@ -419,12 +437,12 @@ class FixedSchedule(_Stationary):
             g.action_mask(v, row, player=2)
         return FixedSchedule({v: ActionDistribution.from_mapping(row) for v, row in raw.items()})
 
-    def rule(self, g: GameGraph, v: str) -> Rule:
+    def _row(self, g: GameGraph, v: str) -> Union[str, ActionDistribution]:
         d = self.table.get(v)
         if d is None:
             return g.p2_actions(v)[0]
         g.action_mask(v, d.support, player=2)
-        return _draws(d)
+        return d
 
 
 class GreedyAdversary:
@@ -498,7 +516,7 @@ def _run_episode(
     v = start
     visits: dict[str, int] = {}
     # per visited state, its successor lookup (the strategy's actions are checked)
-    # and the opponent's rule; per all-constant row, its distribution and draw table
+    # and the opponent's rule; per all-constant row, what `_outcomes` keeps (rest: the lookup)
     rule_of = getattr(opponent, "rule", None)
     lookups: dict[str, tuple] = {}
     fixed: dict[str, tuple] = {}
@@ -510,13 +528,16 @@ def _run_episode(
         if row is None:
             d1 = s.distribution(v, n)
             a = _sample(rng, d1)
-            if not n and all(isinstance(x, Constant) for x in s.schedules[v].values()):
-                fixed[v] = (d1, *_draws(d1))
+            look = lookups.get(v) or lookups.setdefault(
+                v, (*g.succ_row(v), rule_of and rule_of(g, v)))  # built at the first pick
         else:
-            d1, acts, cums = row
-            a = acts[bisect_right(cums, rng.random())]
-        offset, succ, places, rule = lookups.get(v) or lookups.setdefault(
-            v, (*g.succ_row(v), rule_of and rule_of(g, v)))  # built at the first pick
+            d1, table, cums, look = row
+            a = table[bisect_right(cums, rng.random())]
+            if d1 is None:  # `a` is the step's outcome, or their list if `look` is the rule's cums
+                steps.append(step := a if look is None else a[bisect_right(look, rng.random())])
+                v = step[3]
+                continue
+        offset, succ, places, rule = look
         b = opponent.pick(g, v, d1, rng) if rule is None else rule if rule.__class__ is str \
             else rule[0][bisect_right(rule[1], rng.random())]
         bi = places.get(b)
@@ -524,13 +545,15 @@ def _run_episode(
             raise UnknownAction(v, b, player=2)
         w = states[succ[offset[a] + bi]]
         steps.append((v, a, b, w))
+        if not n and all(isinstance(x, Constant) for x in s.schedules[v].values()):
+            fixed[v] = _outcomes(d1, rule, lambda a, b: (v, a, b, g.succ(v, a, b)), look)
         v = w
-    visits[v] = visits.get(v, 0) + 1
-    hits = [u in target for u in (start, *map(itemgetter(3), steps))]
+    visits[v] = visits.get(v, 0) + 1  # so `visits` counts the start and each successor
+    backwards = chain(map(itemgetter(3), reversed(steps)), (start,))
     return EpisodeLog(
         episode=episode, seed=seed, start=start, steps=steps,
-        visits=visits, target_visits=sum(hits),
-        longest_target_suffix=hits[::-1].index(False) if False in hits else len(hits),
+        visits=visits, target_visits=sum(visits.get(u, 0) for u in target),
+        longest_target_suffix=sum(1 for _ in takewhile(target.__contains__, backwards)),
     )
 
 

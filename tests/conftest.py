@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,23 @@ def golden_text(name: str) -> str:
 
 def golden_json(name: str):
     return json.loads(golden_text(name))
+
+
+class DrawnRule:
+    """A duck-typed opponent whose rule at every state is the draw table
+    ``(acts, cums)``, which may name actions a state lacks; its pick draws
+    from the table as the episode loops play a rule, so per-step references
+    that call pick see the same play."""
+
+    def __init__(self, acts: tuple[str, ...], cums: list[float]):
+        self.table = (acts, cums)
+
+    def rule(self, g: GameGraph, v: str):
+        return self.table
+
+    def pick(self, g: GameGraph, v: str, d1, rng) -> str:
+        acts, cums = self.table
+        return acts[bisect_right(cums, rng.random())]
 
 
 @pytest.fixture(scope="session")

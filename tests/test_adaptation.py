@@ -33,11 +33,10 @@ from congame import (
     update_model,
 )
 from congame import adaptation
-from congame.adaptation import _complies
 from congame.corpus import random_game
 from congame.strategies import _sample
 
-from .conftest import GAMES
+from .conftest import GAMES, DrawnRule
 from .digests import play_digest
 
 
@@ -298,7 +297,7 @@ def reference_run(g, t, reward, opponent, horizon, seed, start,
         unsafe, colive, persistent = t.split_at(g, v)
         groups = tuple(h for h in t.groups_at(v) if h & persistent)
         checks = (unsafe, colive, t.live_floor(v, eps_live), groups)
-        if not _complies(checks, d, n, colive_base):
+        if not adaptation._complies(checks, d, n, colive_base):
             violations += 1
         a = _sample(rng, d)
         b = opponent.pick(g, v, d, rng)
@@ -415,6 +414,38 @@ class TestLoopEqualsReference:
         with pytest.raises(UnknownAction, match="unknown player-2 action 'zz' at state 'S2'"):
             run_adaptive(cobuchi_game, t, RewardSpec({}), Bogus(),
                          horizon=3, seed=0, start="S2")
+
+    @pytest.mark.parametrize("opp", [FixedSchedule({}), UniformRandom()],
+                             ids=["fallback string rule", "table rule"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stored_move_failing_its_check(self, chain_game, monkeypatch, opp, seed):
+        # every move fails (the reference reads the same _complies), so each
+        # step at a stored move counts a violation
+        monkeypatch.setattr(adaptation, "_complies", lambda *args: False)
+        assert_matches_reference(chain_game, chain_template(), RewardSpec({"Q": 1.0}), opp,
+                                 horizon=30, seed=seed, start="P")
+        run = run_adaptive(chain_game, chain_template(), RewardSpec({"Q": 1.0}), opp,
+                           horizon=30, seed=seed, start="P")
+        assert run.violations == 30
+
+    def test_rule_naming_an_unknown_action_raises_on_the_step_drawing_it(self, chain_game):
+        # Q has the one P2 action d and the rule draws zz a quarter of the
+        # time, so Q's stored move keeps no outcome table: at every horizon
+        # the loop plays or raises as the reference does
+        opp = DrawnRule(("d", "zz", "zz"), [0.75, 1.0])
+        args = (chain_game, chain_template(), RewardSpec({"Q": 1.0}), opp)
+        first_raise = []
+        for seed in range(8):
+            for h in range(12):
+                assert_matches_reference(*args, horizon=h, seed=seed, start="Q")
+                try:
+                    reference_run(*args, horizon=h, seed=seed, start="Q")
+                except UnknownAction as e:
+                    assert str(e) == "unknown player-2 action 'zz' at state 'Q'"
+                    first_raise.append(h)
+                    break
+        # the first step at Q plays d, and a later one draws zz
+        assert max(first_raise) > 2
 
 
 class TestBadOpponentRow:

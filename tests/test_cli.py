@@ -235,6 +235,18 @@ class TestSimulateCli:
         assert all(log["start"] == "S4" for log in logs)
         assert all(len(log["steps"]) == 50 for log in logs)
 
+    def test_fixed_opponent_matches_golden(self, capsys, tmp_path):
+        # the golden pins every field of the JSON lines, visits and target
+        # counts included
+        tpl, strat = tmp_path / "t.json", tmp_path / "s.json"
+        run(capsys, "template", COBUCHI, "-o", str(tpl))
+        run(capsys, "extract", COBUCHI, str(tpl), "-o", str(strat))
+        code, out = run(capsys, "simulate", COBUCHI, str(strat), "--start", "S2",
+                        "--horizon", "60", "--episodes", "3",
+                        "--opponent", "fixed", "--opponent-file", OPP)
+        assert code == 0
+        assert out == golden_text("simulate_cobuchi_fixed.jsonl")
+
     def test_deterministic_and_jobs_invariant(self, capsys, tmp_path):
         strat = tmp_path / "s.json"
         run(capsys, "extract", COBUCHI, "-o", str(strat))

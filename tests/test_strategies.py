@@ -16,6 +16,7 @@ from congame import (
     ActionDistribution,
     ConflictError,
     Constant,
+    EpisodeLog,
     FixedSchedule,
     GameGraph,
     Geometric,
@@ -43,7 +44,7 @@ from congame import (
 from congame.corpus import rand_int, random_game, random_subset
 from congame.strategies import _draws, _sample
 
-from .conftest import GAMES, game_graphs, games_with_objective, load_fixture
+from .conftest import GAMES, DrawnRule, game_graphs, games_with_objective, load_fixture
 from .oracles import _supports, oracle_verify
 
 
@@ -609,8 +610,10 @@ class TestOpponents:
             assert adv.pick(g, v, d1, random.Random(0)) == want
 
 
-def reference_steps(g, s, opponent, horizon, seed, start):
-    """One simulated episode that asks the strategy at every visit."""
+def reference_episode(g, s, opponent, horizon, seed, start, target=frozenset(), episode=0):
+    """One simulated episode that asks the strategy and the opponent's pick
+    at every visit, with its visits in first-visit order (the state it ends
+    on included) and the target counts of the states it passes."""
     rng = random.Random(seed)
     v = start
     visits: dict[str, int] = {}
@@ -624,7 +627,19 @@ def reference_steps(g, s, opponent, horizon, seed, start):
         w = g.succ(v, a, b)
         steps.append((v, a, b, w))
         v = w
-    return steps
+    visits[v] = visits.get(v, 0) + 1
+    seen = [start] + [w for *_, w in steps]
+    suffix = 0
+    while suffix < len(seen) and seen[-1 - suffix] in target:
+        suffix += 1
+    return EpisodeLog(episode, seed, start, steps, visits,
+                      sum(u in target for u in seen), suffix)
+
+
+def assert_logs_equal(got, want):
+    """Equal logs, with their visits in the same order."""
+    assert got == want
+    assert [list(log.visits.items()) for log in got] == [list(log.visits.items()) for log in want]
 
 
 @st.composite
@@ -652,7 +667,7 @@ def simulation_setups(draw):
         GreedyAdversary(solve(g, obj).ranks),
     ]))
     return (g, s, opp, draw(st.integers(0, 60)), draw(st.integers(0, 1000)),
-            draw(st.sampled_from(g.states)))
+            draw(st.sampled_from(g.states)), frozenset(draw(st.sets(st.sampled_from(g.states)))))
 
 
 class TestSimulation:
@@ -728,18 +743,43 @@ class TestSimulation:
     @given(simulation_setups())
     @settings(max_examples=150)
     def test_equals_per_visit_reference(self, setup):
-        # simulate keeps the distribution of all-constant rows; the
-        # reference asks the strategy at every visit
-        g, s, opp, horizon, seed, start = setup
-        try:
-            want = [reference_steps(g, s, opp, horizon, seed + i, start) for i in range(2)]
-        except InputError as e:
-            with pytest.raises(InputError) as got:
-                simulate(g, s, opp, horizon=horizon, episodes=2, seed=seed, start=start)
-            assert (type(got.value), str(got.value)) == (type(e), str(e))
-            return
-        logs = simulate(g, s, opp, horizon=horizon, episodes=2, seed=seed, start=start)
-        assert [log.steps for log in logs] == want
+        # simulate keeps all-constant rows and their step outcomes; the
+        # reference asks the strategy and the opponent at every visit
+        g, s, opp, horizon, seed, start, target = setup
+        for h in sorted({0, horizon}):
+            kw = dict(horizon=h, episodes=2, seed=seed, start=start, target=target)
+            try:
+                want = [reference_episode(g, s, opp, h, seed + i, start, target, i)
+                        for i in range(2)]
+            except InputError as e:
+                with pytest.raises(InputError) as got:
+                    simulate(g, s, opp, **kw)
+                assert (type(got.value), str(got.value)) == (type(e), str(e))
+                continue
+            assert_logs_equal(simulate(g, s, opp, **kw), want)
+
+    def test_rule_naming_an_unknown_action_raises_on_the_step_drawing_it(
+            self, cobuchi_game, cobuchi_objective):
+        # S0 has the one P2 action d and the rule draws zz a quarter of the
+        # time, so S0 keeps no outcome table: at every horizon simulate plays
+        # or raises as the reference does
+        s = extract_strategy(cobuchi_game, template_for(cobuchi_game, cobuchi_objective))
+        opp = DrawnRule(("d", "zz", "zz"), [0.75, 1.0])
+        first_raise = []
+        for seed in range(8):
+            for h in range(12):
+                kw = dict(horizon=h, episodes=1, seed=seed, start="S0")
+                try:
+                    want = reference_episode(cobuchi_game, s, opp, h, seed, "S0")
+                except UnknownAction as e:
+                    with pytest.raises(UnknownAction) as got:
+                        simulate(cobuchi_game, s, opp, **kw)
+                    assert str(got.value) == str(e) == "unknown player-2 action 'zz' at state 'S0'"
+                    first_raise.append(h)
+                    break
+                assert_logs_equal(simulate(cobuchi_game, s, opp, **kw), [want])
+        # the first step at S0 plays d, and a later one draws zz
+        assert max(first_raise) > 2
 
     def test_unknown_opponent_action(self, cobuchi_game, cobuchi_objective):
         # on constant and geometric rows alike, as the name-level succ raises
@@ -750,7 +790,7 @@ class TestSimulation:
         s = extract_strategy(cobuchi_game, template_for(cobuchi_game, cobuchi_objective))
         for v in cobuchi_game.states:
             with pytest.raises(UnknownAction) as want:
-                reference_steps(cobuchi_game, s, Bogus(), 3, 0, v)
+                reference_episode(cobuchi_game, s, Bogus(), 3, 0, v)
             with pytest.raises(UnknownAction) as got:
                 simulate(cobuchi_game, s, Bogus(), horizon=3, episodes=1, seed=0, start=v)
             assert str(got.value) == str(want.value) == f"unknown player-2 action 'zz' at state {v!r}"
