@@ -122,9 +122,10 @@ class _Plan:
         self.counts = [0] * len(self.p2)
         self.move: Optional[tuple] = None
         self.succ = {}
+        offset, row, _ = g.succ_row(v)
         for a in self.allowed:
-            for bi, b in enumerate(self.p2):
-                w = g.succ(v, a, b)
+            for bi, b in enumerate(self.p2):  # `p2` is sorted, as a run's places are
+                w = g.states[row[offset[a] + bi]]
                 self.succ[a, b] = (w, reward.at(w), bi)
         self.rows = tuple((a, [self.succ[a, b][1] for b in self.p2])
                           for a in self.allowed)

@@ -521,7 +521,8 @@ def _run_episode(
     lookups: dict[str, tuple] = {}
     fixed: dict[str, tuple] = {}
     steps: list[tuple[str, str, str, str]] = []
-    for _ in range(horizon):
+    tail = 0  # the steps left when the episode stops at a sink
+    for k in range(horizon):
         n = visits.get(v, 0)
         visits[v] = n + 1
         row = fixed.get(v)
@@ -546,14 +547,23 @@ def _run_episode(
         w = states[succ[offset[a] + bi]]
         steps.append((v, a, b, w))
         if not n and all(isinstance(x, Constant) for x in s.schedules[v].values()):
-            fixed[v] = _outcomes(d1, rule, lambda a, b: (v, a, b, g.succ(v, a, b)), look)
+            row = fixed[v] = _outcomes(
+                d1, rule, lambda a, b: (v, a, b, states[succ[offset[a] + places[b]]]), look)
+            # a sink: every step from here on is this one, whatever is drawn, and the
+            # episode's generator is read by nothing after the loop
+            if w == v and row[0] is None and len(set(
+                    row[1] if row[3] is None else chain.from_iterable(row[1]))) == 1:
+                tail = horizon - k - 1
+                break
         v = w
-    visits[v] = visits.get(v, 0) + 1  # so `visits` counts the start and each successor
+    visits[v] = visits.get(v, 0) + 1 + tail  # so `visits` counts the start and each successor
     backwards = chain(map(itemgetter(3), reversed(steps)), (start,))
+    suffix = sum(1 for _ in takewhile(target.__contains__, backwards))
+    steps += steps[-1:] * tail
     return EpisodeLog(
         episode=episode, seed=seed, start=start, steps=steps,
         visits=visits, target_visits=sum(visits.get(u, 0) for u in target),
-        longest_target_suffix=sum(1 for _ in takewhile(target.__contains__, backwards)),
+        longest_target_suffix=suffix and suffix + tail,  # the walk starts at the sink
     )
 
 
@@ -572,7 +582,10 @@ def simulate(
 
     All randomness flows through random.Random (Mersenne Twister) with the
     per-episode derived seed; P1 samples first, then the opponent, from the
-    same stream.  With jobs > 1 episodes may run in a process pool
+    same stream.  Once an episode steps from a state back to itself on its
+    first visit there, and P1's row and the opponent leave that step no other
+    outcome, it repeats the step to the horizon without drawing.  With
+    jobs > 1 episodes may run in a process pool
     (:func:`~congame.model.map_tasks`) and are merged back in episode order,
     byte-identical to the sequential run; a script that passes jobs > 1
     must guard its entry point with ``if __name__ == "__main__":``.

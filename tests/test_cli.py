@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -246,6 +247,20 @@ class TestSimulateCli:
                         "--opponent", "fixed", "--opponent-file", OPP)
         assert code == 0
         assert out == golden_text("simulate_cobuchi_fixed.jsonl")
+
+    def test_long_fixed_opponent_episodes_are_pinned(self, capsys, tmp_path):
+        # episodes that stay at the sink S1 or S0 for nearly all of their 2000
+        # steps, with the game's target around them; the hash was recorded at a
+        # commit that played every step
+        tpl, strat = tmp_path / "t.json", tmp_path / "s.json"
+        run(capsys, "template", COBUCHI, "-o", str(tpl))
+        run(capsys, "extract", COBUCHI, str(tpl), "-o", str(strat))
+        code, out = run(capsys, "simulate", COBUCHI, str(strat), "--start", "S2",
+                        "--horizon", "2000", "--episodes", "5",
+                        "--opponent", "fixed", "--opponent-file", OPP)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "831d5893cc47c925a76e577eb3fdc5948c776fd80b766fc7514b93a6c6eb3d93"
 
     def test_deterministic_and_jobs_invariant(self, capsys, tmp_path):
         strat = tmp_path / "s.json"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -646,8 +647,19 @@ def assert_logs_equal(got, want):
 def simulation_setups(draw):
     """A random arena with an extracted or hand-built schedule strategy (its
     geometric rows may decay below the smallest float), an opponent, a
-    horizon, a seed and a start state."""
+    horizon, a seed and a start state.  Some arenas get a sink: a state whose
+    first P1 action loops back to it against every P2 action, and where a
+    hand-built strategy plays that action alone.  Against the fixed opponent a
+    sink draws from a one-slot table at the first state and plays the fallback
+    action elsewhere."""
     g, obj = draw(games_with_objective(max_states=6))
+    sink = draw(st.none() | st.sampled_from(g.states))
+    if sink is not None:
+        p1 = {v: g.p1_actions(v) for v in g.states}
+        p2 = {v: g.p2_actions(v) for v in g.states}
+        g = GameGraph(g.states, p1, p2, {
+            (v, a, b): sink if (v, a) == (sink, p1[v][0]) else g.succ(v, a, b)
+            for v in g.states for a in p1[v] for b in p2[v]})
     if draw(st.booleans()):
         # cobuchi templates give their colive actions geometric rows
         t = template_for(g, obj)
@@ -655,7 +667,8 @@ def simulation_setups(draw):
     else:
         schedules = {}
         for v in g.states:
-            acts = draw(st.lists(st.sampled_from(g.p1_actions(v)), min_size=1, unique=True))
+            acts = g.p1_actions(v)[:1] if v == sink else \
+                draw(st.lists(st.sampled_from(g.p1_actions(v)), min_size=1, unique=True))
             schedules[v] = {a: draw(st.one_of(
                 st.builds(Constant, st.floats(0.1, 2.0)),
                 st.builds(Geometric, st.floats(0.1, 2.0), st.sampled_from([0.5, 0.9, 1e-200]))))
@@ -666,8 +679,9 @@ def simulation_setups(draw):
         FixedSchedule({g.states[0]: ActionDistribution.point(g.p2_actions(g.states[0])[-1])}),
         GreedyAdversary(solve(g, obj).ranks),
     ]))
+    starts = g.states if sink is None else (sink, *g.states)
     return (g, s, opp, draw(st.integers(0, 60)), draw(st.integers(0, 1000)),
-            draw(st.sampled_from(g.states)), frozenset(draw(st.sets(st.sampled_from(g.states)))))
+            draw(st.sampled_from(starts)), frozenset(draw(st.sets(st.sampled_from(g.states)))))
 
 
 class TestSimulation:
@@ -743,10 +757,17 @@ class TestSimulation:
     @given(simulation_setups())
     @settings(max_examples=150)
     def test_equals_per_visit_reference(self, setup):
-        # simulate keeps all-constant rows and their step outcomes; the
-        # reference asks the strategy and the opponent at every visit
+        # simulate keeps all-constant rows and their step outcomes, and stops
+        # drawing at a sink; the reference asks the strategy and the opponent
+        # at every visit.  Each horizon whose last step is the first one at a
+        # state and loops back to it is played as well
         g, s, opp, horizon, seed, start, target = setup
-        for h in sorted({0, horizon}):
+        horizons = {0, horizon}
+        with contextlib.suppress(InputError):
+            steps = reference_episode(g, s, opp, horizon, seed, start).steps
+            horizons |= {k + 1 for k, (v, *_, w) in enumerate(steps)
+                         if v == w and all(u[0] != v for u in steps[:k])}
+        for h in sorted(horizons):
             kw = dict(horizon=h, episodes=2, seed=seed, start=start, target=target)
             try:
                 want = [reference_episode(g, s, opp, h, seed + i, start, target, i)
