@@ -50,7 +50,6 @@ from .model import (
     parse_objective,
     validate_game,
 )
-from .operators import a_set, afpre1, afpre_action_fixpoint, apre1, b_set, pre1
 from .solvers import RankDecomposition, solve, solve_buchi, solve_cobuchi, solve_safety
 from .strategies import (
     ComplianceVerdict,
@@ -101,8 +100,6 @@ __all__ = [
     "NonConvergence", "Objective", "ObjectiveKind", "UnknownAction",
     "UnknownState", "dump_json", "game_to_dict", "load_game",
     "parse_objective", "validate_game",
-    # operators
-    "a_set", "afpre1", "afpre_action_fixpoint", "apre1", "b_set", "pre1",
     # solvers
     "RankDecomposition", "solve", "solve_buchi", "solve_cobuchi",
     "solve_safety",

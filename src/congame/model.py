@@ -230,9 +230,6 @@ class GameGraph:
 
     # -- basic accessors -------------------------------------------------
 
-    def __contains__(self, state: str) -> bool:
-        return state in self._index
-
     @property
     def n_states(self) -> int:
         return len(self.states)
@@ -365,19 +362,9 @@ class ActionDistribution(NamedTuple):
         p = 1.0 / len(acts)
         return ActionDistribution(tuple((a, p) for a in acts))
 
-    @staticmethod
-    def point(action: str) -> "ActionDistribution":
-        return ActionDistribution(((action, 1.0),))
-
     @property
     def support(self) -> frozenset[str]:
         return frozenset(a for a, _ in self.probs)
-
-    def prob(self, action: str) -> float:
-        for a, p in self.probs:
-            if a == action:
-                return p
-        return 0.0
 
     def mass(self, actions: Iterable[str]) -> float:
         wanted = actions if isinstance(actions, (set, frozenset)) else set(actions)

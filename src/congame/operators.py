@@ -5,11 +5,11 @@ values: for almost-sure winning only the supports of the players' mixed
 actions matter, so each operator has an equivalent support-level reading
 that these implementations use directly.
 
-Public functions take and return name sets; the ``*_mask`` variants work on
-integer bitmasks over the game's sorted state/action indices and are what
-the fixpoint solvers call in their inner loops.
+Every operator is a ``*_mask`` function on integer bitmasks over the game's
+sorted state/action indices (``g.mask``, ``g.action_mask`` and ``g.unmask``
+convert names); the fixpoint solvers call them in their inner loops.
 
-The mask variants run on the successor index that :class:`GameGraph`
+The operators run on the successor index that :class:`GameGraph`
 builds on first use (``g.succ_rows``): per state and P1 action, the mask
 of its successors and ``(successor bit, P2 action mask)`` pairs.  "Every
 successor of action a lies in Y" is then one test ``succ_mask & ~Y == 0``,
@@ -29,7 +29,7 @@ changed.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from typing import Optional
 
 from .model import GameGraph, NonConvergence
@@ -154,37 +154,3 @@ def afpre1_mask(
         todo ^= low
     return out
 
-
-# -- name-level API ----------------------------------------------------------
-
-def a_set(g: GameGraph, v: str, Y: Iterable[str], gamma2: Iterable[str]) -> frozenset[str]:
-    m = a_set_mask(g, g.index(v), g.mask(Y), g.action_mask(v, gamma2, player=2))
-    return frozenset(a for i, a in enumerate(g.p1_actions(v)) if m >> i & 1)
-
-
-def b_set(g: GameGraph, v: str, X: Iterable[str], gamma1: Iterable[str]) -> frozenset[str]:
-    m = b_set_mask(g, g.index(v), g.mask(X), g.action_mask(v, gamma1))
-    return frozenset(b for i, b in enumerate(g.p2_actions(v)) if m >> i & 1)
-
-
-def pre1(g: GameGraph, X: Iterable[str]) -> frozenset[str]:
-    """States with a P1 action keeping the game surely inside X."""
-    return g.unmask(pre1_mask(g, g.mask(X)))
-
-
-def apre1(g: GameGraph, Y: Iterable[str], X: Iterable[str]) -> frozenset[str]:
-    return g.unmask(apre1_mask(g, g.mask(Y), g.mask(X)))
-
-
-def afpre_action_fixpoint(
-    g: GameGraph, v: str, Z: Iterable[str], Y: Iterable[str], X: Iterable[str],
-) -> frozenset[str]:
-    vi = g.index(v)
-    m = afpre_fix_mask(g, vi, g.mask(Z), g.mask(Y), g.mask(X))
-    return frozenset(a for i, a in enumerate(g.p1_names(vi)) if m >> i & 1)
-
-
-def afpre1(g: GameGraph, Z: Iterable[str], Y: Iterable[str], X: Iterable[str]) -> frozenset[str]:
-    """States whose action fixpoint is nonempty: P1 can stay in Z surely and,
-    whenever leaving Y is possible, also hit X with positive probability."""
-    return g.unmask(afpre1_mask(g, g.mask(Z), g.mask(Y), g.mask(X)))

@@ -21,13 +21,14 @@ Every loop computes the same synchronous (Jacobi) iterates X0, X1, ... as
 the plain fixpoint X(k+1) = F(Xk) would, but each round re-evaluates only
 the states whose membership can change.  Two facts select them:
 
-* locality: the operators decide a state from their arguments restricted
+* locality: the operators ``pre1_mask``, ``apre1_mask`` and ``afpre1_mask``
+  of :mod:`congame.operators` decide a state from their arguments restricted
   to that state's successors, so a state none of whose successors changed
   membership between X(k-1) and Xk gets the same answer from F(Xk) as from
   F(X(k-1)), namely its membership in Xk;
-* monotonicity: ``pre1``, ``apre1`` and ``afpre1`` are monotone in every
-  argument, so along a decreasing chain a state once removed never comes
-  back, and along an increasing chain a state once added never leaves.
+* monotonicity: the three are monotone in every argument, so along a
+  decreasing chain a state once removed never comes back, and along an
+  increasing chain a state once added never leaves.
 
 Hence a decreasing loop (safety, the safety core, the cobuchi Y loop, all
 three run by :func:`_shrink`) re-checks only members of Xk that are
@@ -59,13 +60,6 @@ class RankDecomposition(NamedTuple):
 
     winning: frozenset[str]
     ranks: tuple[frozenset[str], ...]
-
-    def rank_of(self, state: str) -> int:
-        """Index of the first chain element containing `state` (winning only)."""
-        for i, x in enumerate(self.ranks):
-            if state in x:
-                return i
-        raise KeyError(state)
 
     def to_dict(self) -> dict:
         # each state's first rank, in one pass over the chain

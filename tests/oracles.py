@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to cross-check the operators and
 solvers.
 
-Everything here works on plain frozensets of names and enumerates player-1
+Everything here works on plain frozensets of names and enumerates player
 action supports exhaustively, sharing no code with the bitmask
 implementations under test.
 """
@@ -65,6 +65,26 @@ def oracle_afpre1(g: GameGraph, Z: frozenset, Y: frozenset, X: frozenset) -> fro
                 out.add(v)
                 break
     return frozenset(out)
+
+
+def oracle_pre2(g: GameGraph, gamma1: dict, Y: frozenset) -> frozenset:
+    """States where, against P1 playing every action of the support
+    `gamma1[v]`, P2 has a support whose every joint successor stays in Y."""
+    return frozenset(
+        v for v in g.states
+        if any(all(g.succ(v, a, b) in Y for a in gamma1[v] for b in gamma2)
+               for gamma2 in _supports(g.p2_actions(v))))
+
+
+def oracle_apre2(g: GameGraph, gamma1: dict, Y: frozenset, X: frozenset) -> frozenset:
+    """States where, against P1 playing every action of the support
+    `gamma1[v]`, P2 has a support staying in Y surely and reaching X with
+    positive probability."""
+    return frozenset(
+        v for v in g.states
+        if any(all(g.succ(v, a, b) in Y for a in gamma1[v] for b in gamma2)
+               and any(g.succ(v, a, b) in X for a in gamma1[v] for b in gamma2)
+               for gamma2 in _supports(g.p2_actions(v))))
 
 
 def _dedupe(chain: list) -> tuple:

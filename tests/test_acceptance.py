@@ -23,16 +23,12 @@ from congame import (
     RewardSpec,
     ScheduleStrategy,
     UniformRandom,
-    afpre1,
-    afpre_action_fixpoint,
-    apre1,
     check_compliance,
     check_conflict_free,
     compose,
     extract_strategy,
     heatmap_csv,
     load_game,
-    pre1,
     random_game,
     random_subset,
     run_adaptive,
@@ -43,6 +39,7 @@ from congame import (
     verify_memoryless,
 )
 from congame.cli import main
+from congame.operators import afpre1_mask, afpre_fix_mask, apre1_mask, pre1_mask
 
 from .conftest import GAMES, golden_text
 from .oracles import oracle_afpre1, oracle_apre1, oracle_pre1
@@ -109,9 +106,9 @@ def test_c02_cobuchi_stabilize_goldens(capsys):
         assert code == 0
         assert out == golden_text("template_cobuchi_stabilize.json")
         g, obj = load_game(COBUCHI)
-        x1 = frozenset({"S0", "S1", "S2", "S3"})
-        fix = afpre_action_fixpoint(g, "S2", frozenset(g.states), x1, x1)
-        assert fix == {"a", "b", "x", "y"}
+        x1 = g.mask({"S0", "S1", "S2", "S3"})
+        fix = afpre_fix_mask(g, g.index("S2"), g.full_mask, x1, x1)
+        assert fix == g.action_mask("S2", {"a", "b", "x", "y"})
         tpl = template_for(g, Objective(ObjectiveKind.COBUCHI, frozenset(obj.target)))
         assert tpl.live["S2"] == (frozenset({"a", "y"}), frozenset({"b"}),
                                   frozenset({"x"}))
@@ -126,9 +123,10 @@ def test_c03_operators_match_enumeration_oracles():
             def pick() -> frozenset[str]:
                 return frozenset(v for v in g.states if subset_rng.random() < 0.5)
             x, y, z = pick(), pick(), pick()
-            assert pre1(g, x) == oracle_pre1(g, x)
-            assert apre1(g, y, x) == oracle_apre1(g, y, x)
-            assert afpre1(g, z, y, x) == oracle_afpre1(g, z, y, x)
+            assert g.unmask(pre1_mask(g, g.mask(x))) == oracle_pre1(g, x)
+            assert g.unmask(apre1_mask(g, g.mask(y), g.mask(x))) == oracle_apre1(g, y, x)
+            assert g.unmask(afpre1_mask(g, g.mask(z), g.mask(y), g.mask(x))) \
+                == oracle_afpre1(g, z, y, x)
 
 
 def test_c04_random_templates_are_conflict_free():

@@ -93,17 +93,17 @@ class TestOpponentModel:
     def test_uniform_prior(self, cobuchi_game):
         m = OpponentModel(alpha=1.0)
         d = m.estimate(cobuchi_game, "S2")
-        assert d.prob("d") == pytest.approx(1.0 / 3.0)
-        assert d.prob("e") == pytest.approx(1.0 / 3.0)
+        assert d.mass(("d",)) == pytest.approx(1.0 / 3.0)
+        assert d.mass(("e",)) == pytest.approx(1.0 / 3.0)
 
     def test_counts_shift_estimate(self, cobuchi_game):
         m = OpponentModel(alpha=1.0)
         m = update_model(cobuchi_game, m, "S2", "d")
         m = update_model(cobuchi_game, m, "S2", "d")
         d = m.estimate(cobuchi_game, "S2")
-        assert d.prob("d") == pytest.approx(3.0 / 5.0)
-        assert d.prob("e") == pytest.approx(1.0 / 5.0)
-        assert d.prob("f") == pytest.approx(1.0 / 5.0)
+        assert d.mass(("d",)) == pytest.approx(3.0 / 5.0)
+        assert d.mass(("e",)) == pytest.approx(1.0 / 5.0)
+        assert d.mass(("f",)) == pytest.approx(1.0 / 5.0)
 
     def test_update_is_functional(self, cobuchi_game):
         m0 = OpponentModel(alpha=1.0)
@@ -122,8 +122,8 @@ class TestOpponentModel:
         weak = OpponentModel(alpha=0.1)
         weak = update_model(cobuchi_game, weak, "S2", "d")
         strong = update_model(cobuchi_game, OpponentModel(alpha=10.0), "S2", "d")
-        assert weak.estimate(cobuchi_game, "S2").prob("d") \
-            > strong.estimate(cobuchi_game, "S2").prob("d")
+        assert weak.estimate(cobuchi_game, "S2").mass(("d",)) \
+            > strong.estimate(cobuchi_game, "S2").mass(("d",))
 
 
 class TestAdaptStep:
@@ -132,30 +132,30 @@ class TestAdaptStep:
         d = adapt_step(chain_game, t, "P", 0, OpponentModel(),
                        RewardSpec({"Q": 5.0}))
         # floor 0.1 stays on the live action a, the rest chases Q via b
-        assert d.prob("a") == pytest.approx(0.1)
-        assert d.prob("b") == pytest.approx(0.9)
+        assert d.mass(("a",)) == pytest.approx(0.1)
+        assert d.mass(("b",)) == pytest.approx(0.9)
 
     def test_unsafe_gets_nothing(self, chain_game):
         t = chain_template(unsafe={"P": frozenset({"b"})})
         d = adapt_step(chain_game, t, "P", 0, OpponentModel(),
                        RewardSpec({"Q": 5.0}))
-        assert d.prob("b") == 0.0
-        assert d.prob("a") == pytest.approx(1.0)
+        assert d.mass(("b",)) == 0.0
+        assert d.mass(("a",)) == pytest.approx(1.0)
 
     def test_colive_cap_shrinks_with_visits(self, chain_game):
         t = chain_template(colive={"P": frozenset({"b"})})
         reward = RewardSpec({"Q": 5.0})
         d0 = adapt_step(chain_game, t, "P", 0, OpponentModel(), reward)
         d3 = adapt_step(chain_game, t, "P", 3, OpponentModel(), reward)
-        assert d0.prob("b") == pytest.approx(0.25)
-        assert d3.prob("b") == pytest.approx(0.25 / 8.0)
-        assert d0.prob("a") == pytest.approx(0.75)
+        assert d0.mass(("b",)) == pytest.approx(0.25)
+        assert d3.mass(("b",)) == pytest.approx(0.25 / 8.0)
+        assert d0.mass(("a",)) == pytest.approx(0.75)
 
     def test_ties_break_lexicographically(self, chain_game):
         t = chain_template()
         d = adapt_step(chain_game, t, "P", 0, OpponentModel(), RewardSpec({}))
         # both actions have expected reward 0; "a" wins the remainder
-        assert d.prob("a") == pytest.approx(1.0)
+        assert d.mass(("a",)) == pytest.approx(1.0)
 
     def test_ties_break_lexicographically_on_every_interpreter(self):
         # against the estimate [0.5, 0.25, 0.25], "b" earns 1e16, 1.0 and
@@ -182,10 +182,10 @@ class TestAdaptStep:
                        RewardSpec({"S0": 1.0}))
         third = 0.1 / 3.0
         # groups {a,y}, {b}, {x}: floors keep a, b, x; remainder joins a
-        assert d.prob("a") == pytest.approx(third + 0.9)
-        assert d.prob("b") == pytest.approx(third)
-        assert d.prob("x") == pytest.approx(third)
-        assert d.prob("y") == 0.0
+        assert d.mass(("a",)) == pytest.approx(third + 0.9)
+        assert d.mass(("b",)) == pytest.approx(third)
+        assert d.mass(("x",)) == pytest.approx(third)
+        assert d.mass(("y",)) == 0.0
 
     def test_model_steers_group_witness(self, cobuchi_game, cobuchi_objective):
         t = template_for(cobuchi_game, Objective(
@@ -196,10 +196,10 @@ class TestAdaptStep:
         # against near-pure d the group {a, y} floor moves with the rewards:
         # reward on S1 favors y (y/d lands in S1), reward on S0 favors a
         d_y = adapt_step(cobuchi_game, t, "S2", 0, m, RewardSpec({"S1": 1.0}))
-        assert d_y.prob("y") > 0.0
+        assert d_y.mass(("y",)) > 0.0
         d_a = adapt_step(cobuchi_game, t, "S2", 0, m, RewardSpec({"S0": 1.0}))
-        assert d_a.prob("y") == 0.0
-        assert d_a.prob("a") > 0.9
+        assert d_a.mass(("y",)) == 0.0
+        assert d_a.mass(("a",)) > 0.9
 
     def test_infeasible_all_unsafe(self, chain_game):
         t = chain_template(unsafe={"P": frozenset({"a", "b"})}, live={})
@@ -453,7 +453,7 @@ class TestBadOpponentRow:
     an action the game lacks is found by the episode loops, on the row's
     state's first visit, after the errors that the step raises before it."""
 
-    BAD = FixedSchedule({"S2": ActionDistribution.point("z")})
+    BAD = FixedSchedule({"S2": ActionDistribution.uniform(("z",))})
     MESSAGE = "^unknown player-2 action 'z' at state 'S2'$"
 
     @pytest.fixture

@@ -56,7 +56,7 @@ class TestConstruction:
         assert g.p2_actions("B") == ("d", "e")
         assert g.succ("A", "b", "d") == "B"
         assert g.succ("B", "a", "e") == "A"
-        assert "A" in g and "Z" not in g
+        assert "A" in g.states and "Z" not in g.states
 
     def test_missing_transition(self):
         raw = tiny_raw()
@@ -216,7 +216,7 @@ class TestDistribution:
     def test_from_mapping_drops_zeros(self):
         d = ActionDistribution.from_mapping({"a": 0.5, "b": 0.5, "c": 0.0})
         assert d.support == frozenset({"a", "b"})
-        assert d.prob("c") == 0.0
+        assert d.mass(("c",)) == 0.0
 
     def test_from_mapping_rejects_bad_sum(self):
         with pytest.raises(InputError):
@@ -243,8 +243,8 @@ class TestDistribution:
     def test_uniform_and_point(self):
         u = ActionDistribution.uniform(["b", "a"])
         assert u.probs == (("a", 0.5), ("b", 0.5))
-        p = ActionDistribution.point("x")
-        assert p.prob("x") == 1.0
+        p = ActionDistribution.uniform(("x",))
+        assert p.probs == (("x", 1.0),)
         assert p.mass(["x", "y"]) == 1.0
 
     def test_mass(self):
@@ -472,13 +472,13 @@ class TestFixedScheduleRows:
     def test_unknown_action_raised_at_each_pick(self):
         g = validate_game(tiny_raw())
         opp = FixedSchedule({"A": ActionDistribution.from_mapping({"d": 0.5, "z": 0.5}),
-                             "B": ActionDistribution.point("e")})
+                             "B": ActionDistribution.uniform(("e",))})
         rng = random.Random(0)
         for _ in range(3):
-            assert opp.pick(g, "B", ActionDistribution.point("a"), rng) == "e"
+            assert opp.pick(g, "B", ActionDistribution.uniform(("a",)), rng) == "e"
         for _ in range(2):
             with pytest.raises(UnknownAction) as e:
-                opp.pick(g, "A", ActionDistribution.point("a"), rng)
+                opp.pick(g, "A", ActionDistribution.uniform(("a",)), rng)
             assert (e.value.state, e.value.action, e.value.player) == ("A", "z", 2)
 
     def test_row_checked_against_each_game(self):
@@ -487,10 +487,10 @@ class TestFixedScheduleRows:
         raw["p2_actions"]["B"] = ["d", "f"]
         raw["transitions"][-1]["p2"] = "f"
         h = validate_game(raw)
-        opp = FixedSchedule({"B": ActionDistribution.point("e")})
-        assert opp.pick(g, "B", ActionDistribution.point("a"), random.Random(0)) == "e"
+        opp = FixedSchedule({"B": ActionDistribution.uniform(("e",))})
+        assert opp.pick(g, "B", ActionDistribution.uniform(("a",)), random.Random(0)) == "e"
         with pytest.raises(UnknownAction):
-            opp.pick(h, "B", ActionDistribution.point("a"), random.Random(0))
+            opp.pick(h, "B", ActionDistribution.uniform(("a",)), random.Random(0))
 
 
 class TestWorkerCount:

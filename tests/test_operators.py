@@ -1,24 +1,32 @@
-"""One-step operators: worked examples, algebraic laws and oracle equivalence."""
+"""One-step operators: worked examples, algebraic laws and oracle equivalence.
+
+The operators work on bitmasks; the tests convert names with ``g.mask``,
+``g.action_mask`` and ``g.unmask``, and action masks back with :func:`acts`.
+"""
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from congame import (
-    GameGraph,
-    UnknownAction,
-    UnknownState,
-    a_set,
-    afpre1,
-    afpre_action_fixpoint,
-    apre1,
-    b_set,
-    pre1,
+from congame.operators import (
+    a_set_mask,
+    afpre1_mask,
+    afpre_fix_mask,
+    apre1_mask,
+    apre2_mask,
+    b_set_mask,
+    pre1_mask,
+    pre2_mask,
 )
 
 from .conftest import games_with_subset
-from .oracles import oracle_afpre1, oracle_apre1, oracle_pre1
+from .oracles import oracle_afpre1, oracle_apre1, oracle_apre2, oracle_pre1, oracle_pre2
+
+
+def acts(actions, m):
+    """The actions whose bits are set in the action mask `m`."""
+    return frozenset(a for i, a in enumerate(actions) if m >> i & 1)
 
 
 def oracle_a_set(g, v, Y, gamma2):
@@ -36,26 +44,34 @@ def oracle_b_set(g, v, X, gamma1):
         if any(g.succ(v, a, b) in x for a in allowed))
 
 
+@st.composite
+def games_with_p1_supports(draw, n_subsets: int):
+    """An arena, a nonempty P1 support per state, and `n_subsets` state subsets."""
+    g, *subsets = draw(games_with_subset(n_subsets=n_subsets))
+    gamma1 = {v: frozenset(draw(st.sets(st.sampled_from(g.p1_actions(v)), min_size=1)))
+              for v in g.states}
+    return (g, gamma1, *subsets)
+
+
 class TestActionSets:
     def test_a_set_examples(self, buchi_game, cobuchi_game):
-        assert a_set(buchi_game, "A", ["C"], ()) == {"a"}
-        assert a_set(cobuchi_game, "S2", ["S0", "S1"], ()) == frozenset()
-        assert a_set(cobuchi_game, "S2", ["S0", "S1"], ["e", "f"]) == {"a", "y"}
+        g = buchi_game
+        assert acts(g.p1_actions("A"), a_set_mask(g, g.index("A"), g.mask(["C"]), 0)) == {"a"}
+        g = cobuchi_game
+        vi, y = g.index("S2"), g.mask(["S0", "S1"])
+        assert a_set_mask(g, vi, y, 0) == 0
+        excused = g.action_mask("S2", ["e", "f"], player=2)
+        assert acts(g.p1_actions("S2"), a_set_mask(g, vi, y, excused)) == {"a", "y"}
 
     def test_b_set_examples(self, buchi_game, cobuchi_game):
-        assert b_set(buchi_game, "B", ["C"], ["a"]) == {"a", "b"}
-        assert b_set(cobuchi_game, "S2", ["S0", "S1"], ["a", "y"]) == {"d"}
-        assert b_set(cobuchi_game, "S2", ["S0", "S1"], ()) == frozenset()
-
-    def test_validation(self, buchi_game):
-        with pytest.raises(UnknownState):
-            a_set(buchi_game, "Z", ["C"], ())
-        with pytest.raises(UnknownState):
-            a_set(buchi_game, "A", ["Z"], ())
-        with pytest.raises(UnknownAction):
-            a_set(buchi_game, "A", ["C"], ["z"])
-        with pytest.raises(UnknownAction):
-            b_set(buchi_game, "A", ["C"], ["z"])
+        g = buchi_game
+        m = b_set_mask(g, g.index("B"), g.mask(["C"]), g.action_mask("B", ["a"]))
+        assert acts(g.p2_actions("B"), m) == {"a", "b"}
+        g = cobuchi_game
+        vi, x = g.index("S2"), g.mask(["S0", "S1"])
+        m = b_set_mask(g, vi, x, g.action_mask("S2", ["a", "y"]))
+        assert acts(g.p2_actions("S2"), m) == {"d"}
+        assert b_set_mask(g, vi, x, 0) == 0
 
     @given(games_with_subset(n_subsets=1))
     def test_a_set_matches_oracle(self, gs):
@@ -63,7 +79,8 @@ class TestActionSets:
         for v in g.states:
             for k in range(len(g.p2_actions(v)) + 1):
                 gamma2 = g.p2_actions(v)[:k]
-                assert a_set(g, v, y, gamma2) == oracle_a_set(g, v, y, gamma2)
+                m = a_set_mask(g, g.index(v), g.mask(y), g.action_mask(v, gamma2, player=2))
+                assert acts(g.p1_actions(v), m) == oracle_a_set(g, v, y, gamma2)
 
     @given(games_with_subset(n_subsets=1))
     def test_b_set_matches_oracle(self, gs):
@@ -71,88 +88,114 @@ class TestActionSets:
         for v in g.states:
             for k in range(len(g.p1_actions(v)) + 1):
                 gamma1 = g.p1_actions(v)[:k]
-                assert b_set(g, v, x, gamma1) == oracle_b_set(g, v, x, gamma1)
+                m = b_set_mask(g, g.index(v), g.mask(x), g.action_mask(v, gamma1))
+                assert acts(g.p2_actions(v), m) == oracle_b_set(g, v, x, gamma1)
 
 
 class TestPredecessors:
     def test_pre1_examples(self, buchi_game, safety_game):
-        assert pre1(buchi_game, ["C"]) == {"A", "B", "C"}
-        assert pre1(buchi_game, ["A"]) == {"B"}
-        assert pre1(buchi_game, []) == frozenset()
-        assert pre1(safety_game, ["g"]) == {"g"}
+        g = buchi_game
+        assert g.unmask(pre1_mask(g, g.mask(["C"]))) == {"A", "B", "C"}
+        assert g.unmask(pre1_mask(g, g.mask(["A"]))) == {"B"}
+        assert pre1_mask(g, 0) == 0
+        g = safety_game
+        assert g.unmask(pre1_mask(g, g.mask(["g"]))) == {"g"}
 
     def test_apre1_examples(self, buchi_game, safety_game):
-        v = frozenset(buchi_game.states)
-        assert apre1(buchi_game, v, ["C"]) == {"A", "B", "C"}
-        assert apre1(buchi_game, ["C"], ["C"]) == {"A", "B", "C"}
-        assert apre1(safety_game, ["g", "t"], ["t"]) == {"g", "t"}
-        assert apre1(safety_game, ["g"], ["g"]) == {"g"}
+        g = buchi_game
+        c = g.mask(["C"])
+        assert g.unmask(apre1_mask(g, g.full_mask, c)) == {"A", "B", "C"}
+        assert g.unmask(apre1_mask(g, c, c)) == {"A", "B", "C"}
+        g = safety_game
+        assert g.unmask(apre1_mask(g, g.mask(["g", "t"]), g.mask(["t"]))) == {"g", "t"}
+        assert g.unmask(apre1_mask(g, g.mask(["g"]), g.mask(["g"]))) == {"g"}
 
     @given(games_with_subset(n_subsets=1))
     def test_pre1_matches_oracle(self, gs):
         g, x = gs
-        assert pre1(g, x) == oracle_pre1(g, x)
+        assert g.unmask(pre1_mask(g, g.mask(x))) == oracle_pre1(g, x)
 
     @given(games_with_subset(n_subsets=2))
     def test_apre1_matches_oracle(self, gs):
         g, y, x = gs
-        assert apre1(g, y, x) == oracle_apre1(g, y, x)
+        assert g.unmask(apre1_mask(g, g.mask(y), g.mask(x))) == oracle_apre1(g, y, x)
 
     @given(games_with_subset(n_subsets=1))
     def test_pre1_equals_apre1_diagonal(self, gs):
         g, x = gs
-        assert pre1(g, x) == apre1(g, x, x)
+        x = g.mask(x)
+        assert pre1_mask(g, x) == apre1_mask(g, x, x)
 
     @given(games_with_subset(n_subsets=2))
     def test_apre1_within_pre1_of_y(self, gs):
         g, y, x = gs
-        assert apre1(g, y, x) <= pre1(g, y)
+        y, x = g.mask(y), g.mask(x)
+        assert apre1_mask(g, y, x) & ~pre1_mask(g, y) == 0
 
     @given(games_with_subset(n_subsets=2))
     def test_pre1_monotone(self, gs):
         g, x, x2 = gs
-        assert pre1(g, x & x2) <= pre1(g, x)
+        x, x2 = g.mask(x), g.mask(x2)
+        assert pre1_mask(g, x & x2) & ~pre1_mask(g, x) == 0
+
+
+class TestOpponentPredecessors:
+    """The P2-side operators against a fixed P1 support per state."""
+
+    @given(games_with_p1_supports(n_subsets=1))
+    def test_pre2_matches_oracle(self, gs):
+        g, gamma1, y = gs
+        masks = [g.action_mask(v, gamma1[v]) for v in g.states]
+        assert g.unmask(pre2_mask(g, masks, g.mask(y))) == oracle_pre2(g, gamma1, y)
+
+    @given(games_with_p1_supports(n_subsets=2))
+    def test_apre2_matches_oracle(self, gs):
+        g, gamma1, y, x = gs
+        masks = [g.action_mask(v, gamma1[v]) for v in g.states]
+        assert g.unmask(apre2_mask(g, masks, g.mask(y), g.mask(x))) \
+            == oracle_apre2(g, gamma1, y, x)
 
 
 class TestAfpre:
     def test_fixpoint_example(self, cobuchi_game):
         g = cobuchi_game
-        v_all = frozenset(g.states)
-        x1 = frozenset({"S0", "S1", "S2", "S3"})
-        fix = afpre_action_fixpoint(g, "S2", v_all, x1, x1)
-        assert fix == {"a", "b", "x", "y"}
+        x1 = g.mask({"S0", "S1", "S2", "S3"})
+        fix = afpre_fix_mask(g, g.index("S2"), g.full_mask, x1, x1)
+        assert acts(g.p1_actions("S2"), fix) == {"a", "b", "x", "y"}
 
     def test_fixpoint_stays_in_z(self, cobuchi_game):
         g = cobuchi_game
         z = frozenset({"S0", "S1", "S2", "S3"})
-        fix = afpre_action_fixpoint(g, "S2", z, z, frozenset({"S0", "S1"}))
-        for a in fix:
+        fix = afpre_fix_mask(g, g.index("S2"), g.mask(z), g.mask(z), g.mask({"S0", "S1"}))
+        for a in acts(g.p1_actions("S2"), fix):
             for b in g.p2_actions("S2"):
                 assert g.succ("S2", a, b) in z
 
     def test_empty_z_kills_everything(self, buchi_game):
-        assert afpre1(buchi_game, (), buchi_game.states, buchi_game.states) \
-            == frozenset()
-        assert afpre_action_fixpoint(buchi_game, "A", (), ["C"], ["C"]) \
-            == frozenset()
+        g = buchi_game
+        assert afpre1_mask(g, 0, g.full_mask, g.full_mask) == 0
+        c = g.mask(["C"])
+        assert afpre_fix_mask(g, g.index("A"), 0, c, c) == 0
 
     def test_full_arguments_allow_everything(self, buchi_game):
-        v = frozenset(buchi_game.states)
-        assert afpre1(buchi_game, v, v, v) == v
+        v = buchi_game.full_mask
+        assert afpre1_mask(buchi_game, v, v, v) == v
 
     @given(games_with_subset(n_subsets=3))
     def test_afpre1_matches_oracle(self, gs):
         g, z, y, x = gs
-        assert afpre1(g, z, y, x) == oracle_afpre1(g, z, y, x)
+        assert g.unmask(afpre1_mask(g, g.mask(z), g.mask(y), g.mask(x))) \
+            == oracle_afpre1(g, z, y, x)
 
     @given(games_with_subset(n_subsets=3))
     def test_afpre1_monotone_in_x(self, gs):
         g, z, y, x = gs
-        assert afpre1(g, z, y, x & y) <= afpre1(g, z, y, x)
+        z, y, x = g.mask(z), g.mask(y), g.mask(x)
+        assert afpre1_mask(g, z, y, x & y) & ~afpre1_mask(g, z, y, x) == 0
 
     @given(games_with_subset(n_subsets=3))
     def test_fixpoint_subset_of_stay_actions(self, gs):
         g, z, y, x = gs
-        for v in g.states:
-            fix = afpre_action_fixpoint(g, v, z, y, x)
-            assert fix <= a_set(g, v, z, ())
+        z, y, x = g.mask(z), g.mask(y), g.mask(x)
+        for vi in range(g.n_states):
+            assert afpre_fix_mask(g, vi, z, y, x) & ~a_set_mask(g, vi, z, 0) == 0

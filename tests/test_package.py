@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import os
+import re
 import subprocess
 import sys
 import types
@@ -34,3 +36,22 @@ def test_import_loads_no_code_generators():
     done = subprocess.run([sys.executable, "-S", "-c", code, *heavy],
                           capture_output=True, text=True, env=env, timeout=120)
     assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+
+
+def test_every_definition_is_used_outside_the_tests():
+    # a function, class or method that only the tests reach is dead weight:
+    # each name must be read somewhere in the package (an import alone does
+    # not count) or be named by the benchmark harness
+    defined, used = set(), set()
+    for path in sorted((REPO / "src" / "congame").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    for path in sorted((REPO / "perfbench").glob("*.py")):
+        used.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    unused = sorted(n for n in defined - used if not (n.startswith("__") and n.endswith("__")))
+    assert not unused, f"defined but never used outside the tests: {', '.join(unused)}"

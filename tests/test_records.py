@@ -47,7 +47,7 @@ OBJ = Objective(ObjectiveKind.BUCHI, frozenset({"A"}))
 TEMPLATE = Template(frozenset({"A"}), {}, {"A": (frozenset({"a"}),)}, (), {}, "buchi")
 RECORDS = [
     OBJ,
-    ActionDistribution.point("a"),
+    ActionDistribution.uniform(("a",)),
     RankDecomposition(frozenset({"A"}), (frozenset({"A"}),)),
     TEMPLATE,
     Conflict("A", "no-safe-action", ("a",)),
@@ -158,4 +158,4 @@ def test_opponents_compare_by_value():
     assert hash(GreedyAdversary(ranks)) == hash(GreedyAdversary(ranks))
     assert GreedyAdversary(ranks) != GreedyAdversary(ranks[:1])
     assert FixedSchedule() == FixedSchedule({})
-    assert FixedSchedule() != FixedSchedule({"A": ActionDistribution.point("a")})
+    assert FixedSchedule() != FixedSchedule({"A": ActionDistribution.uniform(("a",))})

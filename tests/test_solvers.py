@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given
 
 from congame import (
@@ -28,8 +27,7 @@ class TestExamples:
         d = solve_buchi(buchi_game, ["C"])
         assert d.winning == {"A", "B", "C"}
         assert [sorted(x) for x in d.ranks] == [[], ["C"], ["A", "B", "C"]]
-        assert d.rank_of("C") == 1
-        assert d.rank_of("A") == 2
+        assert d.to_dict()["rank_of"] == {"A": 2, "B": 2, "C": 1}
         assert d.to_dict() == golden_json("solve_buchi_cycle.json")
 
     def test_cobuchi_stabilize(self, cobuchi_game, cobuchi_objective):
@@ -53,8 +51,7 @@ class TestExamples:
 
     def test_rank_of_rejects_losing_state(self, safety_game):
         d = solve_safety(safety_game, ["g"])
-        with pytest.raises(KeyError):
-            d.rank_of("t")
+        assert "t" not in d.to_dict()["rank_of"]
 
     def test_cells(self, cobuchi_game, cobuchi_objective):
         d = solve_cobuchi(cobuchi_game, cobuchi_objective.target)
@@ -82,8 +79,9 @@ class TestChainInvariants:
             assert d.ranks[-1] == d.winning
             for lo, hi in zip(d.ranks, d.ranks[1:]):
                 assert lo < hi
-            for v in d.winning:
-                i = d.rank_of(v)
+            rank_of = d.to_dict()["rank_of"]
+            assert rank_of.keys() == d.winning
+            for v, i in rank_of.items():
                 assert v in d.ranks[i]
                 assert i == 0 or v not in d.ranks[i - 1]
 

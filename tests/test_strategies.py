@@ -64,14 +64,14 @@ def all_constant(v_to_probs) -> ScheduleStrategy:
 class TestSchedules:
     def test_constant_distribution_is_visit_independent(self):
         s = all_constant({"A": {"a": 0.2, "b": 0.8}})
-        assert s.distribution("A", 0).prob("a") == pytest.approx(0.2)
-        assert s.distribution("A", 57).prob("b") == pytest.approx(0.8)
+        assert s.distribution("A", 0).mass(("a",)) == pytest.approx(0.2)
+        assert s.distribution("A", 57).mass(("b",)) == pytest.approx(0.8)
 
     def test_geometric_decays_against_constant(self):
         s = ScheduleStrategy(
             {"A": {"a": Geometric(0.5, 0.5), "b": Constant(0.5)}})
-        p0 = s.distribution("A", 0).prob("a")
-        p3 = s.distribution("A", 3).prob("a")
+        p0 = s.distribution("A", 0).mass(("a",))
+        p3 = s.distribution("A", 3).mass(("a",))
         assert p0 == pytest.approx(0.5)
         assert p3 == pytest.approx((0.5 * 0.5 ** 3) / (0.5 + 0.5 * 0.5 ** 3))
         assert p3 < p0
@@ -79,15 +79,15 @@ class TestSchedules:
     def test_weights_renormalize(self):
         s = all_constant({"A": {"a": 3.0, "b": 1.0}})
         d = s.distribution("A", 0)
-        assert d.prob("a") == pytest.approx(0.75)
+        assert d.mass(("a",)) == pytest.approx(0.75)
 
     def test_all_geometric_row_keeps_its_weights_past_underflow(self):
         # c * r**n is 0.0 for both actions from visit n = 1074 on
         s = strategy_from_dict({"A": {"a": {"kind": "geometric", "c": 0.5, "r": 0.5},
                                       "b": {"kind": "geometric", "c": 0.25, "r": 0.5}}})
         d = s.distribution("A", 5000)
-        assert d.prob("a") == pytest.approx(2 / 3)
-        assert d.prob("b") == pytest.approx(1 / 3)
+        assert d.mass(("a",)) == pytest.approx(2 / 3)
+        assert d.mass(("b",)) == pytest.approx(1 / 3)
 
     def test_row_summing_past_the_float_range_is_rescaled(self):
         d = all_constant({"A": {"a": 1.7e308, "b": 1.7e308}}).distribution("A", 0)
@@ -175,12 +175,12 @@ class TestExtraction:
         t = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
         s = extract_strategy(buchi_game, t)
         d_a = s.distribution("A", 0)
-        assert d_a.prob("a") == pytest.approx(0.55)
-        assert d_a.prob("b") == pytest.approx(0.45)
+        assert d_a.mass(("a",)) == pytest.approx(0.55)
+        assert d_a.mass(("b",)) == pytest.approx(0.45)
         # C carries the trivial group {a, b}; its witness "a" gets the floor
         d_c = s.distribution("C", 0)
-        assert d_c.prob("a") == pytest.approx(0.55)
-        assert d_c.prob("b") == pytest.approx(0.45)
+        assert d_c.mass(("a",)) == pytest.approx(0.55)
+        assert d_c.mass(("b",)) == pytest.approx(0.45)
 
     def test_cobuchi_stabilize_values(self, cobuchi_game, cobuchi_objective):
         t = template_for(cobuchi_game, Objective(
@@ -189,10 +189,10 @@ class TestExtraction:
         d = s.distribution("S2", 0)
         third = 0.1 / 3.0
         base = 0.9 / 4.0
-        assert d.prob("a") == pytest.approx(base + third)
-        assert d.prob("b") == pytest.approx(base + third)
-        assert d.prob("x") == pytest.approx(base + third)
-        assert d.prob("y") == pytest.approx(base)
+        assert d.mass(("a",)) == pytest.approx(base + third)
+        assert d.mass(("b",)) == pytest.approx(base + third)
+        assert d.mass(("x",)) == pytest.approx(base + third)
+        assert d.mass(("y",)) == pytest.approx(base)
 
     def test_floor_guarantee_on_examples(self, cobuchi_game, cobuchi_objective):
         t = template_for(cobuchi_game, Objective(
@@ -536,13 +536,13 @@ class TestOpponents:
 
     def test_fixed_schedule_fallback(self, cobuchi_game):
         opp = FixedSchedule({})
-        d1 = ActionDistribution.point("a")
+        d1 = ActionDistribution.uniform(("a",))
         assert opp.pick(cobuchi_game, "S2", d1, random.Random(0)) == "d"
 
     def test_fixed_schedule_validates_actions(self, cobuchi_game):
-        opp = FixedSchedule({"S2": ActionDistribution.point("z")})
+        opp = FixedSchedule({"S2": ActionDistribution.uniform(("z",))})
         with pytest.raises(UnknownAction):
-            opp.pick(cobuchi_game, "S2", ActionDistribution.point("a"),
+            opp.pick(cobuchi_game, "S2", ActionDistribution.uniform(("a",)),
                      random.Random(0))
 
     @given(st.integers(0, 2 ** 32), st.integers(1, 5), st.data())
@@ -558,7 +558,7 @@ class TestOpponents:
             acts = data.draw(st.lists(st.sampled_from(g.p2_actions(v)), unique=True, max_size=3))
             if acts:
                 table[v] = ActionDistribution.uniform(acts[:data.draw(st.sampled_from([1, 3]))])
-        d1 = ActionDistribution.point("a")
+        d1 = ActionDistribution.uniform(("a",))
         for opp in (UniformRandom(), FixedSchedule(table)):
             for v in g.states:
                 d = ActionDistribution.uniform(g.p2_actions(v)) \
@@ -580,14 +580,14 @@ class TestOpponents:
     def test_greedy_prefers_high_rank_successor(self, cobuchi_game, cobuchi_objective):
         ranks = solve(cobuchi_game, cobuchi_objective).ranks
         adv = GreedyAdversary(ranks)
-        d1 = ActionDistribution.point("a")
+        d1 = ActionDistribution.uniform(("a",))
         # against pure a: d lands in rank 0, e in rank 2, f in rank 1
         assert adv.pick(cobuchi_game, "S2", d1, random.Random(0)) == "e"
 
     def test_greedy_breaks_ties_lexicographically(self, buchi_game, buchi_objective):
         ranks = solve(buchi_game, buchi_objective).ranks
         adv = GreedyAdversary(ranks)
-        d1 = ActionDistribution.point("b")
+        d1 = ActionDistribution.uniform(("b",))
         assert adv.pick(buchi_game, "A", d1, random.Random(0)) == "a"
 
     @given(game_graphs(), st.data())
@@ -676,7 +676,7 @@ def simulation_setups(draw):
         s = ScheduleStrategy(schedules)
     opp = draw(st.sampled_from([
         UniformRandom(),
-        FixedSchedule({g.states[0]: ActionDistribution.point(g.p2_actions(g.states[0])[-1])}),
+        FixedSchedule({g.states[0]: ActionDistribution.uniform(g.p2_actions(g.states[0])[-1:])}),
         GreedyAdversary(solve(g, obj).ranks),
     ]))
     starts = g.states if sink is None else (sink, *g.states)
