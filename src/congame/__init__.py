@@ -16,7 +16,6 @@ from .algebra import (
     HeatmapRow,
     IncrementalStep,
     compose,
-    counter_product,
     heatmap_csv,
     incremental_synthesize,
     run_heatmap,
@@ -87,8 +86,8 @@ __all__ = [
     "AdaptiveRun", "Infeasible", "OpponentModel", "RewardSpec", "adapt_step",
     "run_adaptive", "update_model",
     # algebra
-    "GameMismatch", "HeatmapRow", "IncrementalStep", "compose",
-    "counter_product", "heatmap_csv", "incremental_synthesize", "run_heatmap",
+    "GameMismatch", "HeatmapRow", "IncrementalStep", "compose", "heatmap_csv",
+    "incremental_synthesize", "run_heatmap",
     # convert
     "ConversionStats", "NonRectangularActions", "NotAlternating",
     "TurnBasedGame", "convert", "load_turn_based", "tb_from_dict",

@@ -12,8 +12,10 @@ For conjunctions of pure buchi objectives the counter product gives the
 exact almost-sure region, the reference that shows how much merging loses:
 the game is unrolled against a round-robin counter that advances past target
 i when it is visited, the product is solved once for its buchi objective,
-and the region is the base states winning at counter 0.  No template is
-built for the product; `incremental_synthesize` is the only caller.
+and the region is the base states winning at counter 0.  The product lays
+its copies out one after another, copy c of base state vi at index c·n + vi,
+so counter 0 is its low n bits.  No template is built for the product;
+`incremental_synthesize` is the only caller.
 """
 
 from __future__ import annotations
@@ -96,48 +98,31 @@ def _merge(g: GameGraph, templates: Sequence[Template]) -> tuple[Template, Confl
 
 # -- exact buchi conjunction via counter product ------------------------------
 
-def _product_name(v: str, c: int) -> str:
-    return f"{v}@{c}"
-
-
-def counter_product(
-    g: GameGraph, targets: Sequence[frozenset[str]],
-) -> tuple[GameGraph, frozenset[str]]:
-    """Product of `g` with a round-robin counter over the buchi targets.
+def counter_product(g: GameGraph, targets: Sequence[frozenset[str]]) -> tuple[GameGraph, int]:
+    """Product of `g` with a round-robin counter over the buchi targets, and
+    the mask of its target.
 
     The counter advances past index c when the current base state lies in
     targets[c]; the product target is "counter at the last objective and on
     it", so visiting the product target infinitely often is equivalent to
     visiting every base target infinitely often.
 
-    The product is built from the base game's successor table: copy c of
-    state v maps v's row through the product indices of the copies at v's
-    next counter value, and shares v's actions.
+    Copy c of base state vi is product state ``c * n + vi``
+    (:meth:`GameGraph._copies`): its successors are those of vi, moved to the
+    copy at vi's next counter value.
     """
-    k = len(targets)
-    if k == 0:
-        raise InputError("counter product needs at least one target")
-    n = g.n_states
-    # copy c of base state vi is entry c * n + vi; the product keeps its states sorted
-    names = [_product_name(v, c) for c in range(k) for v in g.states]
-    order = sorted(range(k * n), key=names.__getitem__)
-    flat = sorted(range(k * n), key=order.__getitem__)  # entry -> product index
-    at = [flat[c * n:(c + 1) * n] for c in range(k)]
-    # per copy of vi, the column of its copies at the next counter value
-    col = [[at[(c + 1) % k if v in targets[c] else c] for v in g.states] for c in range(k)]
-    of = [j % n for j in order]
-    cols = [col[j // n][vi] for j, vi in zip(order, of)]
-    pg = GameGraph._copies(g, list(map(names.__getitem__, order)), of, cols)
-    return pg, frozenset(_product_name(v, k - 1) for v in targets[k - 1])
+    k, n = len(targets), g.n_states
+    shift = [[((c + 1) % k if v in t else c) * n for v in g.states] for c, t in enumerate(targets)]
+    return GameGraph._copies(g, shift), g.mask(targets[-1]) << (k - 1) * n
 
 
 def _conjunction_region(g: GameGraph, targets: Sequence[frozenset[str]]) -> frozenset[str]:
     """The exact almost-sure region of the conjunction of the buchi `targets`:
-    the base states winning at counter 0 in one solve of the counter product.
+    the base states winning at counter 0, the product's low n bits, in one
+    solve of the counter product.
     """
-    pg, ptarget = counter_product(g, targets)
-    winning, _ = _buchi(pg, pg.mask(ptarget))
-    return frozenset(v for v in g.states if winning >> pg.index(_product_name(v, 0)) & 1)
+    winning, _ = _buchi(*counter_product(g, targets))
+    return g.unmask(winning)
 
 
 # -- incremental synthesis -----------------------------------------------------

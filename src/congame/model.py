@@ -105,7 +105,8 @@ class GameGraph:
     Construct via :func:`validate_game` (raw mapping) or directly from
     canonical pieces; both fill the successor table in one pass
     (:meth:`_fill`) and enforce totality of the transition function.  The
-    counter product copies a valid game's table (:meth:`_copies`).
+    counter product lays out copies of a valid game's table one after
+    another (:meth:`_copies`); its states are in copy order, not sorted.
 
     The operators run on an index that extraction and compliance checking
     never read, so it is built on first use: the views below read its slots
@@ -173,23 +174,22 @@ class GameGraph:
             for (v, a, b), w in moves:
                 vi = index[v]
                 succ[vi][p1_offset[vi][a] + p2_index[vi][b]] = index[w]
-        except (KeyError, TypeError):
+        except (KeyError, TypeError, ValueError):
             return False
         # with as many moves as slots, a duplicate leaves a slot unfilled
         return n_moves == sum(map(len, succ)) and not any(-1 in row for row in succ)
 
     @classmethod
-    def _copies(cls, base: GameGraph, states: Sequence[str], of: Sequence[int],
-                cols: Sequence[Sequence[int]]) -> GameGraph:
-        """The game whose state ``states[i]`` (sorted and distinct, not checked)
-        copies base state ``of[i]``, sharing its actions; its successor row is
-        the base row with each base state index ``w`` mapped to ``cols[i][w]``."""
+    def _copies(cls, base: GameGraph, shift: Sequence[Sequence[int]]) -> GameGraph:
+        """k copies of `base`, k = ``len(shift)``: state ``c * n + vi`` is copy c of
+        base state vi, named ``v@c``, with v's actions and v's successor row plus
+        ``shift[c][vi]``."""
         g = cls.__new__(cls)
-        g.states = tuple(states)
-        g._succ = [list(map(col.__getitem__, base._succ[vi])) for col, vi in zip(cols, of)]
+        g.states = tuple(f"{v}@{c}" for c in range(len(shift)) for v in base.states)
         g._index = dict(zip(g.states, range(len(g.states))))
+        g._succ = [[w + s for w in row] for col in shift for row, s in zip(base._succ, col)]
         g._p1, g._p2, g._p1_offset, g._p2_index = (
-            [col[i] for i in of] for col in (base._p1, base._p2, base._p1_offset, base._p2_index))
+            col * len(shift) for col in (base._p1, base._p2, base._p1_offset, base._p2_index))
         return g
 
     def _build_index(self) -> GameGraph:
@@ -222,8 +222,13 @@ class GameGraph:
         return self
 
     def _check_delta(self, delta: Mapping[tuple[str, str, str], str]) -> None:
-        """Raise for the first entry naming an unknown state or action."""
-        for (v, a, b), w in delta.items():
+        """Raise for the first entry with a malformed key or naming an unknown
+        state or action."""
+        for key, w in delta.items():
+            try:
+                v, a, b = key
+            except (TypeError, ValueError):
+                raise InputError(f"malformed transition key {key!r}") from None
             self.action_mask(v, (a,))
             self.action_mask(v, (b,), player=2)
             self.index(w)

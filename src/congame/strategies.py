@@ -464,7 +464,8 @@ class GreedyAdversary:
         return hash(self.ranks)
 
     def rule(self, g: GameGraph, v: str) -> Rule:
-        return None  # the choice depends on P1's mixed action
+        # with several actions the choice depends on P1's mixed action
+        return acts[0] if len(acts := g.p2_actions(v)) == 1 else None
 
     def pick(self, g: GameGraph, v: str, d1: ActionDistribution, rng: random.Random) -> str:
         rank, lost = self._first_rank.get, len(self.ranks)

@@ -262,6 +262,19 @@ class TestSimulateCli:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "831d5893cc47c925a76e577eb3fdc5948c776fd80b766fc7514b93a6c6eb3d93"
 
+    def test_long_greedy_episodes_are_pinned(self, capsys, tmp_path):
+        # the greedy opponent fixes its one action at every state but S2, so
+        # these episodes stop at the sink S1 or S0; the hash was recorded at a
+        # commit that asked the opponent at every step
+        tpl, strat = tmp_path / "t.json", tmp_path / "s.json"
+        run(capsys, "template", COBUCHI, "-o", str(tpl))
+        run(capsys, "extract", COBUCHI, str(tpl), "-o", str(strat))
+        code, out = run(capsys, "simulate", COBUCHI, str(strat), "--start", "S2",
+                        "--horizon", "2000", "--episodes", "5", "--opponent", "greedy")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "bc2e99c9813b6b77335ede21fc4640cb307648ee7fb4a6f234daa9e1d6bbda02"
+
     def test_deterministic_and_jobs_invariant(self, capsys, tmp_path):
         strat = tmp_path / "s.json"
         run(capsys, "extract", COBUCHI, "-o", str(strat))
@@ -338,6 +351,16 @@ class TestAdaptCli:
         assert code == 0
         assert len(calls) == 1
         assert out == golden_text("adapt_greedy_cobuchi.csv")
+
+    def test_long_greedy_trace_is_pinned(self, capsys):
+        # off S2 the greedy move and its check are built once per state; the
+        # hash was recorded at a commit that asked the opponent at every step
+        code, out = run(
+            capsys, "adapt", COBUCHI, REWARD,
+            "--horizon", "2000", "--seed", "7", "--start", "S2", "--opponent", "greedy")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "92da0e2bba3065fd83cc178acb2fb417555380504887682e1d00ce51cccc55d3"
 
     def test_bad_reward_state(self, capsys, tmp_path):
         bad = tmp_path / "r.json"

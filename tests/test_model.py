@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -79,6 +80,14 @@ class TestConstruction:
         raw["transitions"][0][field] = value
         with pytest.raises(InputError):
             validate_game(raw)
+
+    @pytest.mark.parametrize("key", [("A", "a"), ("A", "a", "d", "A"), "Ad", 5])
+    def test_malformed_transition_key(self, key):
+        raw = tiny_raw()
+        delta = {(t["from"], t["p1"], t["p2"]): t["to"] for t in raw["transitions"]}
+        delta[key] = "A"
+        with pytest.raises(InputError, match=f"^malformed transition key {re.escape(repr(key))}$"):
+            GameGraph(raw["states"], raw["p1_actions"], raw["p2_actions"], delta)
 
     def test_unknown_target_state(self):
         raw = tiny_raw()

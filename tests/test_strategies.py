@@ -574,8 +574,18 @@ class TestOpponents:
                 assert played.getstate() == picked.getstate() == want.getstate()
 
     def test_greedy_rule_is_none(self, cobuchi_game, cobuchi_objective):
+        # None where P2 has several actions; elsewhere the one action, which
+        # `pick` returns without a draw
         adv = GreedyAdversary(solve(cobuchi_game, cobuchi_objective).ranks)
-        assert all(adv.rule(cobuchi_game, v) is None for v in cobuchi_game.states)
+        rules = {v: adv.rule(cobuchi_game, v) for v in cobuchi_game.states}
+        assert rules == {"S0": "d", "S1": "d", "S2": None, "S3": "d", "S4": "d"}
+        rng = random.Random(0)
+        state = rng.getstate()
+        for v, rule in rules.items():
+            if rule is not None:
+                d1 = ActionDistribution.uniform(cobuchi_game.p1_actions(v))
+                assert adv.pick(cobuchi_game, v, d1, rng) == rule
+        assert rng.getstate() == state
 
     def test_greedy_prefers_high_rank_successor(self, cobuchi_game, cobuchi_objective):
         ranks = solve(cobuchi_game, cobuchi_objective).ranks
