@@ -23,7 +23,6 @@ from .model import (
     ActionDistribution,
     GameGraph,
     InputError,
-    UnknownAction,
     _EMPTY,
     _all_finite,
     _sum_lr,
@@ -250,7 +249,6 @@ def run_adaptive(
     if not 0.0 < alpha < math.inf:
         raise InputError("alpha must be positive and finite")
     rng = random.Random(seed)
-    rule_of = getattr(opponent, "rule", None)
     plans: dict[str, _Plan] = {}
     v = start
     visits: dict[str, int] = {}
@@ -264,7 +262,13 @@ def run_adaptive(
         if plan is None:
             plan = plans[v] = _Plan(g, t, v, reward, eps_live)
         move = plan.move
-        if move is None:
+        if move is not None:  # the step's outcome, or their list over the rule's draw table
+            table, cums, rule_cums, ok = move
+            out = table[bisect_right(cums, rng.random())]
+            if rule_cums is not None:
+                out = out[bisect_right(rule_cums, rng.random())]
+            a, b, w, r, bi = out
+        else:
             # OpponentModel.estimate, on the plan's counts
             denom = sum(plan.counts) + alpha * len(plan.p2)
             est = [(c + alpha) / denom for c in plan.counts]
@@ -276,22 +280,14 @@ def run_adaptive(
             d = _greedy(plan, est, n, colive_base)
             ok = _complies(plan.checks, d, n, colive_base)
             a = _sample(rng, d)  # drawn once; only a stored move gets a draw table
-        else:
-            d, table, cums, rule_cums, ok = move
-            a = table[bisect_right(cums, rng.random())]
-        if d is None:  # `a` is the step's outcome
-            a, b, w, r, bi = a if rule_cums is None else a[bisect_right(rule_cums, rng.random())]
-        else:
             if not n:  # the first pick here builds the rule, then a fixed move's table
-                rule = plan.rule = rule_of and rule_of(g, v)
+                rule = plan.rule = opponent.rule(g, v)
                 if len(plan.p2) == 1 and not plan.colive:  # estimate 1.0, no visit cap
+                    # (and a rule that is not None: greedy's is the one action)
                     plan.move = (*_outcomes(d, rule, lambda a, b: (a, b, *plan.succ[a, b])), ok)
-            b = opponent.pick(g, v, d, rng) if (rule := plan.rule) is None else rule \
+            b = opponent.pick(g, v, d) if (rule := plan.rule) is None else rule \
                 if rule.__class__ is str else rule[0][bisect_right(rule[1], rng.random())]
-            out = plan.succ.get((a, b))
-            if out is None:
-                raise UnknownAction(v, b, player=2)
-            w, r, bi = out
+            w, r, bi = plan.succ[a, b]
         if not ok:
             violations += 1
         plan.counts[bi] += 1  # update_model, in place

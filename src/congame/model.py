@@ -128,7 +128,8 @@ class GameGraph:
         p2_actions: Mapping[str, Iterable[str]],
         delta: Mapping[tuple[str, str, str], str],
     ):
-        if not self._fill(states, p1_actions, p2_actions, delta.items(), len(delta)):
+        if not (self._fill(states, p1_actions, p2_actions, delta.items(), len(delta))
+                and _all_of(tuple, delta)):
             # invalid entries are reported before missing ones
             self._check_delta(delta)
             raise MissingTransition(*next(
@@ -222,13 +223,12 @@ class GameGraph:
         return self
 
     def _check_delta(self, delta: Mapping[tuple[str, str, str], str]) -> None:
-        """Raise for the first entry with a malformed key or naming an unknown
-        state or action."""
+        """Raise for the first entry with a malformed key (not a tuple of three)
+        or naming an unknown state or action."""
         for key, w in delta.items():
-            try:
-                v, a, b = key
-            except (TypeError, ValueError):
-                raise InputError(f"malformed transition key {key!r}") from None
+            if key.__class__ is not tuple or len(key) != 3:
+                raise InputError(f"malformed transition key {key!r}")
+            v, a, b = key
             self.action_mask(v, (a,))
             self.action_mask(v, (b,), player=2)
             self.index(w)

@@ -38,7 +38,6 @@ from .model import (
     InputError,
     Objective,
     ObjectiveKind,
-    UnknownAction,
     UnknownState,
     _EMPTY,
     _all_finite,
@@ -238,10 +237,6 @@ class ComplianceVerdict(NamedTuple):
     state: Optional[str] = None
     clause: Optional[str] = None  # "unsafe" | "colive" | "live"
 
-    @property
-    def compliant(self) -> bool:
-        return self.status == "compliant"
-
     def to_dict(self) -> dict:
         out: dict = {"verdict": self.status}
         if self.state is not None:
@@ -373,24 +368,22 @@ def _draws(d: ActionDistribution) -> tuple[tuple[str, ...], list[float]]:
 
 
 # An opponent's `rule(g, v)`, built once per visited state by the episode loops: a
-# fixed action (no draw), a draw table of `_draws` (one draw) or None (ask `pick`).
+# fixed action (no draw), a draw table of `_draws` (one draw) or None (greedy facing
+# several P2 actions: ask `pick`).  Greedy's pick is a function of (g, v, d1) and takes
+# no draw, so at a state whose P1 row is fixed the first step's pick is the state's
+# fixed action.
 Rule = Union[str, tuple[tuple[str, ...], list[float]], None]
 
 
-def _outcomes(d: ActionDistribution, rule: Rule, outcome: Callable, rest=None) -> tuple:
-    """What an episode loop keeps for a state with the fixed P1 row `d` once `rule` is built:
-    ``(None, table, cums, rule_cums)``, `d`'s `_draws` with each action replaced by its step's
-    `outcome` ``(a, b)``, or by their list over `rule`'s draw table if it has one; or, if `rule`
-    is None or names an action that `outcome` raises on, ``(d, acts, cums, rest)``."""
+def _outcomes(d: ActionDistribution, rule: Union[str, tuple], outcome: Callable) -> tuple:
+    """What an episode loop keeps for a state with the fixed P1 row `d` and the opponent
+    rule (or fixed action) `rule`: ``(table, cums, rule_cums)``, `d`'s `_draws` with each
+    action replaced by its step's `outcome` ``(a, b)``, or by their list over `rule`'s
+    draw table if it has one (then `rule_cums` are its sums, else None)."""
     acts, cums = _draws(d)
-    try:
-        if rule.__class__ is str:
-            return None, [outcome(a, rule) for a in acts], cums, None
-        if rule is not None:
-            return None, [[outcome(a, b) for b in rule[0]] for a in acts], cums, rule[1]
-    except (KeyError, UnknownAction):
-        pass
-    return d, acts, cums, rest
+    if rule.__class__ is str:
+        return [outcome(a, rule) for a in acts], cums, None
+    return [[outcome(a, b) for b in rule[0]] for a in acts], cums, rule[1]
 
 
 class _Stationary:
@@ -400,9 +393,6 @@ class _Stationary:
 
     def rule(self, g: GameGraph, v: str) -> Rule:
         return row if isinstance(row := self._row(g, v), str) else _draws(row)
-
-    def pick(self, g: GameGraph, v: str, d1: ActionDistribution, rng: random.Random) -> str:
-        return row if isinstance(row := self._row(g, v), str) else _sample(rng, row)
 
 
 class UniformRandom(_Stationary):
@@ -423,9 +413,6 @@ class FixedSchedule(_Stationary):
 
     def __init__(self, table: Mapping[str, ActionDistribution] = _EMPTY):
         self.table = table
-
-    def __eq__(self, other):
-        return self.table == other.table if other.__class__ is self.__class__ else NotImplemented
 
     @staticmethod
     def from_dict(raw: Mapping, g: GameGraph) -> "FixedSchedule":
@@ -457,17 +444,11 @@ class GreedyAdversary:
         self.ranks = ranks
         self._first_rank = {w: i for i, x in reversed(tuple(enumerate(ranks))) for w in x}
 
-    def __eq__(self, other):
-        return self.ranks == other.ranks if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.ranks)
-
     def rule(self, g: GameGraph, v: str) -> Rule:
         # with several actions the choice depends on P1's mixed action
         return acts[0] if len(acts := g.p2_actions(v)) == 1 else None
 
-    def pick(self, g: GameGraph, v: str, d1: ActionDistribution, rng: random.Random) -> str:
+    def pick(self, g: GameGraph, v: str, d1: ActionDistribution) -> str:
         rank, lost = self._first_rank.get, len(self.ranks)
         best, best_score = None, -1.0
         for b in g.p2_actions(v):
@@ -517,8 +498,7 @@ def _run_episode(
     v = start
     visits: dict[str, int] = {}
     # per visited state, its successor lookup (the strategy's actions are checked)
-    # and the opponent's rule; per all-constant row, what `_outcomes` keeps (rest: the lookup)
-    rule_of = getattr(opponent, "rule", None)
+    # and the opponent's rule; per all-constant row, what `_outcomes` keeps
     lookups: dict[str, tuple] = {}
     fixed: dict[str, tuple] = {}
     steps: list[tuple[str, str, str, str]] = []
@@ -527,33 +507,29 @@ def _run_episode(
         n = visits.get(v, 0)
         visits[v] = n + 1
         row = fixed.get(v)
-        if row is None:
-            d1 = s.distribution(v, n)
-            a = _sample(rng, d1)
-            look = lookups.get(v) or lookups.setdefault(
-                v, (*g.succ_row(v), rule_of and rule_of(g, v)))  # built at the first pick
-        else:
-            d1, table, cums, look = row
-            a = table[bisect_right(cums, rng.random())]
-            if d1 is None:  # `a` is the step's outcome, or their list if `look` is the rule's cums
-                steps.append(step := a if look is None else a[bisect_right(look, rng.random())])
-                v = step[3]
-                continue
-        offset, succ, places, rule = look
-        b = opponent.pick(g, v, d1, rng) if rule is None else rule if rule.__class__ is str \
+        if row is not None:  # the step's outcome, or their list over the rule's draw table
+            table, cums, rule_cums = row
+            step = table[bisect_right(cums, rng.random())]
+            if rule_cums is not None:
+                step = step[bisect_right(rule_cums, rng.random())]
+            steps.append(step)
+            v = step[3]
+            continue
+        d1 = s.distribution(v, n)
+        a = _sample(rng, d1)
+        offset, succ, places, rule = lookups.get(v) or lookups.setdefault(
+            v, (*g.succ_row(v), opponent.rule(g, v)))  # built at the first pick
+        b = opponent.pick(g, v, d1) if rule is None else rule if rule.__class__ is str \
             else rule[0][bisect_right(rule[1], rng.random())]
-        bi = places.get(b)
-        if bi is None:
-            raise UnknownAction(v, b, player=2)
-        w = states[succ[offset[a] + bi]]
+        w = states[succ[offset[a] + places[b]]]
         steps.append((v, a, b, w))
         if not n and all(isinstance(x, Constant) for x in s.schedules[v].values()):
-            row = fixed[v] = _outcomes(
-                d1, rule, lambda a, b: (v, a, b, states[succ[offset[a] + places[b]]]), look)
+            table, _, rule_cums = fixed[v] = _outcomes(
+                d1, b if rule is None else rule,
+                lambda a, b: (v, a, b, states[succ[offset[a] + places[b]]]))
             # a sink: every step from here on is this one, whatever is drawn, and the
             # episode's generator is read by nothing after the loop
-            if w == v and row[0] is None and len(set(
-                    row[1] if row[3] is None else chain.from_iterable(row[1]))) == 1:
+            if w == v and len(set(table if rule_cums is None else chain.from_iterable(table))) == 1:
                 tail = horizon - k - 1
                 break
         v = w

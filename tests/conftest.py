@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from congame import GameGraph, Objective, ObjectiveKind, load_game
+from congame import GameGraph, GreedyAdversary, Objective, ObjectiveKind, load_game
+from congame.strategies import _sample
 
 REPO = Path(__file__).resolve().parents[1]
 GAMES = REPO / "games"
@@ -39,21 +39,14 @@ def golden_json(name: str):
     return json.loads(golden_text(name))
 
 
-class DrawnRule:
-    """A duck-typed opponent whose rule at every state is the draw table
-    ``(acts, cums)``, which may name actions a state lacks; its pick draws
-    from the table as the episode loops play a rule, so per-step references
-    that call pick see the same play."""
-
-    def __init__(self, acts: tuple[str, ...], cums: list[float]):
-        self.table = (acts, cums)
-
-    def rule(self, g: GameGraph, v: str):
-        return self.table
-
-    def pick(self, g: GameGraph, v: str, d1, rng) -> str:
-        acts, cums = self.table
-        return acts[bisect_right(cums, rng.random())]
+def reference_pick(opponent, g: GameGraph, v: str, d1, rng) -> str:
+    """The opponent's action at `v` against P1's mixed action `d1`, worked out
+    afresh at every step: greedy's pick, or a stationary opponent's row, a
+    fixed action or a distribution scanned with one `_sample`."""
+    if isinstance(opponent, GreedyAdversary):
+        return opponent.pick(g, v, d1)
+    row = opponent._row(g, v)
+    return row if isinstance(row, str) else _sample(rng, row)
 
 
 @pytest.fixture(scope="session")

@@ -275,6 +275,17 @@ class TestSimulateCli:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "bc2e99c9813b6b77335ede21fc4640cb307648ee7fb4a6f234daa9e1d6bbda02"
 
+    def test_greedy_episodes_at_all_constant_rows_are_pinned(self, capsys):
+        # greedy has two P2 actions at every state here, so its first pick at
+        # the all-constant rows A and C is their fixed action (C is a sink);
+        # B's geometric row asks it at every visit.  The hash was recorded at
+        # a commit that asked greedy at every step
+        code, out = run(capsys, "simulate", BUCHI, STRAT_B, "--episodes", "50",
+                        "--horizon", "500", "--opponent", "greedy")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "0c99c7c3c552b17bdea37b02a061be6dc1e799bbab8b76eff19301e7b58ee7bf"
+
     def test_deterministic_and_jobs_invariant(self, capsys, tmp_path):
         strat = tmp_path / "s.json"
         run(capsys, "extract", COBUCHI, "-o", str(strat))

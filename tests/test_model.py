@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 import re
 
 import pytest
@@ -81,10 +80,19 @@ class TestConstruction:
         with pytest.raises(InputError):
             validate_game(raw)
 
-    @pytest.mark.parametrize("key", [("A", "a"), ("A", "a", "d", "A"), "Ad", 5])
-    def test_malformed_transition_key(self, key):
+    @pytest.mark.parametrize("key, drop", [
+        pytest.param(("A", "a"), None, id="key0"),
+        pytest.param(("A", "a", "d", "A"), None, id="key1"),
+        pytest.param("Ad", None, id="Ad"),
+        pytest.param(5, None, id="5"),
+        # three characters would unpack into (state, p1, p2): here into a
+        # slot that a tuple fills too, or into the slot of the tuple dropped
+        pytest.param("Aad", None, id="Aad-repeats-a-slot"),
+        pytest.param("Aad", ("A", "a", "d"), id="Aad-fills-a-slot")])
+    def test_malformed_transition_key(self, key, drop):
         raw = tiny_raw()
         delta = {(t["from"], t["p1"], t["p2"]): t["to"] for t in raw["transitions"]}
+        delta.pop(drop, None)
         delta[key] = "A"
         with pytest.raises(InputError, match=f"^malformed transition key {re.escape(repr(key))}$"):
             GameGraph(raw["states"], raw["p1_actions"], raw["p2_actions"], delta)
@@ -479,15 +487,15 @@ class TestDumpJson:
 
 class TestFixedScheduleRows:
     def test_unknown_action_raised_at_each_pick(self):
+        # the loops build the rule at a state's first pick in each episode
         g = validate_game(tiny_raw())
         opp = FixedSchedule({"A": ActionDistribution.from_mapping({"d": 0.5, "z": 0.5}),
                              "B": ActionDistribution.uniform(("e",))})
-        rng = random.Random(0)
         for _ in range(3):
-            assert opp.pick(g, "B", ActionDistribution.uniform(("a",)), rng) == "e"
+            assert opp.rule(g, "B") == (("e", "e"), [1.0])
         for _ in range(2):
             with pytest.raises(UnknownAction) as e:
-                opp.pick(g, "A", ActionDistribution.uniform(("a",)), rng)
+                opp.rule(g, "A")
             assert (e.value.state, e.value.action, e.value.player) == ("A", "z", 2)
 
     def test_row_checked_against_each_game(self):
@@ -497,9 +505,9 @@ class TestFixedScheduleRows:
         raw["transitions"][-1]["p2"] = "f"
         h = validate_game(raw)
         opp = FixedSchedule({"B": ActionDistribution.uniform(("e",))})
-        assert opp.pick(g, "B", ActionDistribution.uniform(("a",)), random.Random(0)) == "e"
+        assert opp.rule(g, "B") == (("e", "e"), [1.0])
         with pytest.raises(UnknownAction):
-            opp.pick(h, "B", ActionDistribution.uniform(("a",)), random.Random(0))
+            opp.rule(h, "B")
 
 
 class TestWorkerCount:

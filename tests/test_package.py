@@ -38,20 +38,34 @@ def test_import_loads_no_code_generators():
     assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
 
 
+def _read_names(path, dotted: bool) -> tuple[set[str], set[str]]:
+    """The functions, classes and methods that `path` defines, and the names
+    and attributes that its code reads; with `dotted`, also the parts of each
+    dotted string, such as the span name ``"adaptation.adapt_step"``."""
+    defined, used = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif dotted and isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"\w+(\.\w+)+", node.value):
+            used.update(node.value.split("."))
+    return defined, used
+
+
 def test_every_definition_is_used_outside_the_tests():
     # a function, class or method that only the tests reach is dead weight:
     # each name must be read somewhere in the package (an import alone does
-    # not count) or be named by the benchmark harness
+    # not count) or by the benchmark harness's code, not by its prose
     defined, used = set(), set()
     for path in sorted((REPO / "src" / "congame").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.add(node.name)
-            elif isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        names, reads = _read_names(path, dotted=False)
+        defined |= names
+        used |= reads
     for path in sorted((REPO / "perfbench").glob("*.py")):
-        used.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+        used |= _read_names(path, dotted=True)[1]
     unused = sorted(n for n in defined - used if not (n.startswith("__") and n.endswith("__")))
     assert not unused, f"defined but never used outside the tests: {', '.join(unused)}"

@@ -45,7 +45,7 @@ from congame import (
 from congame.corpus import rand_int, random_game, random_subset
 from congame.strategies import _draws, _sample
 
-from .conftest import GAMES, DrawnRule, game_graphs, games_with_objective, load_fixture
+from .conftest import GAMES, game_graphs, games_with_objective, load_fixture, reference_pick
 from .oracles import _supports, oracle_verify
 
 
@@ -274,7 +274,7 @@ class TestExtraction:
         g, obj = go
         t = template_for(g, obj)
         s = extract_strategy(g, t)
-        assert check_compliance(g, t, s).compliant
+        assert check_compliance(g, t, s).status == "compliant"
 
 
 class TestCompliance:
@@ -289,7 +289,7 @@ class TestCompliance:
         # compliance and verify read the same support: `u` is not in it
         t = template_for(safety_game, safety_objective)
         s = all_constant({"g": {"s": 1.0, "u": 0.0}, "t": {"s": 1.0}})
-        assert check_compliance(safety_game, t, s).compliant
+        assert check_compliance(safety_game, t, s).status == "compliant"
         assert verify_memoryless(safety_game, s, safety_objective) == {"g"}
 
     def test_colive_violation(self, cobuchi_game, cobuchi_objective):
@@ -319,7 +319,7 @@ class TestCompliance:
                    "b": {"kind": "geometric", "c": 0.25, "r": 0.5}},
             "S3": {"a": {"kind": "constant", "p": 1.0}},
             "S4": {"a": {"kind": "constant", "p": 1.0}}})
-        assert check_compliance(cobuchi_game, t, s).compliant
+        assert check_compliance(cobuchi_game, t, s).status == "compliant"
 
     def test_live_violation(self, buchi_game):
         t = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
@@ -347,7 +347,7 @@ class TestCompliance:
             "B": {"a": {"kind": "constant", "p": 1.0}},
             "C": {"a": {"kind": "constant", "p": 1.0}}})
         # the slower-decaying schedule carries the live group {a}
-        assert check_compliance(buchi_game, t, s).compliant
+        assert check_compliance(buchi_game, t, s).status == "compliant"
 
     def test_verdict_dict(self):
         from congame import ComplianceVerdict
@@ -504,7 +504,7 @@ class TestSupportProfiles:
                                   for v, acts in zip(g.states, profile)})
             region = oracle_verify(g, s, obj)
             union |= region
-            if check_compliance(g, t, s).compliant:
+            if check_compliance(g, t, s).status == "compliant":
                 assert won <= region, (profile, sorted(region))
         if kind is ObjectiveKind.COBUCHI:
             assert union <= won
@@ -535,23 +535,21 @@ class TestOpponents:
             FixedSchedule.from_dict({"S2": {"d": 0.5}}, cobuchi_game)
 
     def test_fixed_schedule_fallback(self, cobuchi_game):
-        opp = FixedSchedule({})
-        d1 = ActionDistribution.uniform(("a",))
-        assert opp.pick(cobuchi_game, "S2", d1, random.Random(0)) == "d"
+        assert FixedSchedule({}).rule(cobuchi_game, "S2") == "d"
 
     def test_fixed_schedule_validates_actions(self, cobuchi_game):
         opp = FixedSchedule({"S2": ActionDistribution.uniform(("z",))})
-        with pytest.raises(UnknownAction):
-            opp.pick(cobuchi_game, "S2", ActionDistribution.uniform(("a",)),
-                     random.Random(0))
+        with pytest.raises(UnknownAction, match="^unknown player-2 action 'z' at state 'S2'$"):
+            opp.rule(cobuchi_game, "S2")
 
     @given(st.integers(0, 2 ** 32), st.integers(1, 5), st.data())
     @settings(max_examples=60)
     def test_rule_plays_as_pick(self, game_seed, n, data):
         # rows missing, of one action, or uniform over a random subset; the
-        # rule is played as the episode loops play it, next to pick and to a
-        # reference: the lexicographically first action without a draw where
-        # a fixed schedule has no row, else one _sample of the distribution
+        # rule is played as the episode loops play it, next to reference_pick
+        # and to the row read afresh: the lexicographically first action
+        # without a draw where a fixed schedule has no row, else one _sample
+        # of the distribution
         g = random_game(random.Random(game_seed), n_states=n)
         table = {}
         for v in g.states:
@@ -568,37 +566,34 @@ class TestOpponents:
                 played, picked, want = (random.Random(seed) for _ in range(3))
                 got = [rule if isinstance(rule, str)
                        else rule[0][bisect_right(rule[1], played.random())] for _ in range(50)]
-                assert got == [opp.pick(g, v, d1, picked) for _ in range(50)]
+                assert got == [reference_pick(opp, g, v, d1, picked) for _ in range(50)]
                 assert got == [g.p2_actions(v)[0] if d is None else _sample(want, d)
                                for _ in range(50)]
                 assert played.getstate() == picked.getstate() == want.getstate()
 
     def test_greedy_rule_is_none(self, cobuchi_game, cobuchi_objective):
         # None where P2 has several actions; elsewhere the one action, which
-        # `pick` returns without a draw
+        # `pick` returns too
         adv = GreedyAdversary(solve(cobuchi_game, cobuchi_objective).ranks)
         rules = {v: adv.rule(cobuchi_game, v) for v in cobuchi_game.states}
         assert rules == {"S0": "d", "S1": "d", "S2": None, "S3": "d", "S4": "d"}
-        rng = random.Random(0)
-        state = rng.getstate()
         for v, rule in rules.items():
             if rule is not None:
                 d1 = ActionDistribution.uniform(cobuchi_game.p1_actions(v))
-                assert adv.pick(cobuchi_game, v, d1, rng) == rule
-        assert rng.getstate() == state
+                assert adv.pick(cobuchi_game, v, d1) == rule
 
     def test_greedy_prefers_high_rank_successor(self, cobuchi_game, cobuchi_objective):
         ranks = solve(cobuchi_game, cobuchi_objective).ranks
         adv = GreedyAdversary(ranks)
         d1 = ActionDistribution.uniform(("a",))
         # against pure a: d lands in rank 0, e in rank 2, f in rank 1
-        assert adv.pick(cobuchi_game, "S2", d1, random.Random(0)) == "e"
+        assert adv.pick(cobuchi_game, "S2", d1) == "e"
 
     def test_greedy_breaks_ties_lexicographically(self, buchi_game, buchi_objective):
         ranks = solve(buchi_game, buchi_objective).ranks
         adv = GreedyAdversary(ranks)
         d1 = ActionDistribution.uniform(("b",))
-        assert adv.pick(buchi_game, "A", d1, random.Random(0)) == "a"
+        assert adv.pick(buchi_game, "A", d1) == "a"
 
     @given(game_graphs(), st.data())
     def test_greedy_matches_a_rank_scan(self, g, data):
@@ -618,12 +613,12 @@ class TestOpponents:
                 got = sum(p * score(g.succ(v, a, b)) for a, p in d1.probs)
                 if got > best + 1e-12:
                     want, best = b, got
-            assert adv.pick(g, v, d1, random.Random(0)) == want
+            assert adv.pick(g, v, d1) == want
 
 
 def reference_episode(g, s, opponent, horizon, seed, start, target=frozenset(), episode=0):
-    """One simulated episode that asks the strategy and the opponent's pick
-    at every visit, with its visits in first-visit order (the state it ends
+    """One simulated episode that asks the strategy and `reference_pick` at
+    every visit, with its visits in first-visit order (the state it ends
     on included) and the target counts of the states it passes."""
     rng = random.Random(seed)
     v = start
@@ -634,7 +629,7 @@ def reference_episode(g, s, opponent, horizon, seed, start, target=frozenset(), 
         visits[v] = n + 1
         d1 = s.distribution(v, n)
         a = _sample(rng, d1)
-        b = opponent.pick(g, v, d1, rng)
+        b = reference_pick(opponent, g, v, d1, rng)
         w = g.succ(v, a, b)
         steps.append((v, a, b, w))
         v = w
@@ -789,43 +784,6 @@ class TestSimulation:
                 continue
             assert_logs_equal(simulate(g, s, opp, **kw), want)
 
-    def test_rule_naming_an_unknown_action_raises_on_the_step_drawing_it(
-            self, cobuchi_game, cobuchi_objective):
-        # S0 has the one P2 action d and the rule draws zz a quarter of the
-        # time, so S0 keeps no outcome table: at every horizon simulate plays
-        # or raises as the reference does
-        s = extract_strategy(cobuchi_game, template_for(cobuchi_game, cobuchi_objective))
-        opp = DrawnRule(("d", "zz", "zz"), [0.75, 1.0])
-        first_raise = []
-        for seed in range(8):
-            for h in range(12):
-                kw = dict(horizon=h, episodes=1, seed=seed, start="S0")
-                try:
-                    want = reference_episode(cobuchi_game, s, opp, h, seed, "S0")
-                except UnknownAction as e:
-                    with pytest.raises(UnknownAction) as got:
-                        simulate(cobuchi_game, s, opp, **kw)
-                    assert str(got.value) == str(e) == "unknown player-2 action 'zz' at state 'S0'"
-                    first_raise.append(h)
-                    break
-                assert_logs_equal(simulate(cobuchi_game, s, opp, **kw), [want])
-        # the first step at S0 plays d, and a later one draws zz
-        assert max(first_raise) > 2
-
-    def test_unknown_opponent_action(self, cobuchi_game, cobuchi_objective):
-        # on constant and geometric rows alike, as the name-level succ raises
-        class Bogus:
-            def pick(self, g, v, d1, rng):
-                return "zz"
-
-        s = extract_strategy(cobuchi_game, template_for(cobuchi_game, cobuchi_objective))
-        for v in cobuchi_game.states:
-            with pytest.raises(UnknownAction) as want:
-                reference_episode(cobuchi_game, s, Bogus(), 3, 0, v)
-            with pytest.raises(UnknownAction) as got:
-                simulate(cobuchi_game, s, Bogus(), horizon=3, episodes=1, seed=0, start=v)
-            assert str(got.value) == str(want.value) == f"unknown player-2 action 'zz' at state {v!r}"
-
     def test_row_without_positive_weight_raises_on_first_visit(self, buchi_game):
         t = template_for(buchi_game, Objective(ObjectiveKind.BUCHI, frozenset(["C"])))
         table = dict(extract_strategy(buchi_game, t).schedules)
@@ -835,6 +793,27 @@ class TestSimulation:
         assert log.steps == []
         with pytest.raises(InputError, match="strategy has no positive weight at 'A'"):
             simulate(buchi_game, s, UniformRandom(), horizon=1, episodes=1, seed=0)
+
+    def test_greedy_picks_once_per_all_constant_row(self, buchi_game, buchi_objective,
+                                                    monkeypatch):
+        # A and C have all-constant rows and two P2 actions, so greedy's rule
+        # is None there and its first pick is the state's fixed action; B's
+        # row has a geometric schedule, so it is picked at every visit
+        s = load_strategy("strategy_buchi_nonmax.json")
+        adv = GreedyAdversary(solve(buchi_game, buchi_objective).ranks)
+        calls: list[str] = []
+        pick = GreedyAdversary.pick
+        monkeypatch.setattr(GreedyAdversary, "pick",
+                            lambda self, g, v, *args: calls.append(v) or pick(self, g, v, *args))
+        most = 0
+        for seed in range(10):
+            calls.clear()
+            (log,) = simulate(buchi_game, s, adv, horizon=200, episodes=1, seed=seed)
+            played = [v for v, *_ in log.steps]
+            assert {v: calls.count(v) for v in "AC"} == {v: min(1, played.count(v)) for v in "AC"}
+            assert calls.count("B") == played.count("B")
+            most = max(most, played.count("A"))
+        assert most > 2
 
 
 class _Fixed:
