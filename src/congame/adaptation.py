@@ -16,6 +16,7 @@ import math
 import random
 from bisect import bisect_right
 from collections.abc import Mapping
+from itertools import accumulate, repeat
 from operator import mul
 from typing import NamedTuple, Optional
 
@@ -27,7 +28,7 @@ from .model import (
     _all_finite,
     _sum_lr,
 )
-from .strategies import Opponent, _outcomes, _sample
+from .strategies import Opponent, _one_outcome, _outcomes, _sample
 from .templates import Template, check_weight_params
 
 
@@ -90,7 +91,8 @@ class _Plan:
     give each allowed action's reward against each action of ``p2``;
     ``succ`` maps (P1, P2) actions to (successor, its reward, P2 index).  At a
     state with one P2 action and no colive action, ``move`` holds what
-    ``strategies._outcomes`` keeps of the first step's move, then its verdict.
+    ``strategies._outcomes`` keeps of the first step's move, then its verdict;
+    where that table has one outcome and it loops back, the state is a sink.
     ``rule`` is the opponent's rule here (``strategies.Rule``), set at the first
     pick, after the step's errors.
     """
@@ -235,7 +237,10 @@ def run_adaptive(
     Randomness follows the same convention as simulation: random.Random
     seeded once, P1 sampling before the opponent each step.  Every emitted
     distribution is checked against the template constraints; violations are
-    counted (and expected to be zero).
+    counted (and expected to be zero).  Once an episode steps from a state back
+    to itself on its first visit there, and the stored move and the opponent
+    leave that step no other outcome, it repeats the step to the horizon without
+    drawing, adding its reward to the running total at each row.
     """
     if start is None:
         start = g.states[0]
@@ -290,6 +295,17 @@ def run_adaptive(
         plan.counts[bi] += 1  # update_model, in place
         cum += r
         rows.append((step, v, a, b, r, cum))
+        if not n and w == v and plan.move and _one_outcome(plan.move[0], plan.move[2]):
+            # a sink: every step from here on is this one, whatever is drawn, and the
+            # episode's generator is read by nothing after the loop
+            tail = horizon - step - 1
+            plan.counts[bi] += tail
+            if not ok:
+                violations += tail
+            rows += zip(range(step + 1, horizon), repeat(v), repeat(a), repeat(b), repeat(r),
+                        accumulate(repeat(r), initial=cum + r))  # adding as `cum += r` does
+            cum = rows[-1][5]
+            break
         v = w
     model = OpponentModel(alpha=alpha, counts={
         u: {b: c for b, c in zip(p.p2, p.counts) if c} for u, p in plans.items()})

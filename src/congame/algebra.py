@@ -136,18 +136,6 @@ class IncrementalStep(NamedTuple):
     conflicts: ConflictReport
     exact_winning: Optional[frozenset[str]]
 
-    def to_dict(self) -> dict:
-        out = {
-            "index": self.index,
-            "objective": self.objective.to_dict(),
-            "winning": sorted(self.template.winning),
-            "conflict_free": self.conflicts.ok,
-            "conflicts": [c.to_dict() for c in self.conflicts.conflicts],
-        }
-        if self.exact_winning is not None:
-            out["exact_winning"] = sorted(self.exact_winning)
-        return out
-
 
 def incremental_synthesize(
     g: GameGraph, objectives: Sequence[Objective],

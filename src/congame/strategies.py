@@ -374,6 +374,12 @@ def _outcomes(d: ActionDistribution, rule: Union[str, tuple], outcome: Callable)
     return [[outcome(a, b) for b in rule[0]] for a in acts], cums, rule[1]
 
 
+def _one_outcome(table: list, rule_cums: Optional[list]) -> bool:
+    """Whether every slot of an `_outcomes` `table` (and of its inner tables where the rule
+    draws) holds one outcome; where that outcome loops back, the episode is at a sink."""
+    return len(set(table if rule_cums is None else chain.from_iterable(table))) == 1
+
+
 class _Stationary:
     """An opponent playing one row per state: a fixed action or a distribution."""
 
@@ -517,7 +523,7 @@ def _run_episode(
                 lambda a, b: (v, a, b, states[succ[offset[a] + places[b]]]))
             # a sink: every step from here on is this one, whatever is drawn, and the
             # episode's generator is read by nothing after the loop
-            if w == v and len(set(table if rule_cums is None else chain.from_iterable(table))) == 1:
+            if w == v and _one_outcome(table, rule_cums):
                 tail = horizon - k - 1
                 break
         v = w

@@ -135,7 +135,12 @@ def synthesis(i: int) -> str:
     objectives = [Objective(_pick(rng, kinds), random_subset(rng, g.states, 1 + rand_int(rng, 3)))
                   for _ in range(4)]
     for step in incremental_synthesize(g, objectives):
-        out += [step.to_dict(), step.template.to_dict()]
+        raw = {"index": step.index, "objective": step.objective.to_dict(),
+               "winning": sorted(step.template.winning), "conflict_free": step.conflicts.ok,
+               "conflicts": [c.to_dict() for c in step.conflicts.conflicts]}
+        if step.exact_winning is not None:
+            raw["exact_winning"] = sorted(step.exact_winning)
+        out += [raw, step.template.to_dict()]
     return "\n".join(json.dumps(x) for x in out)
 
 

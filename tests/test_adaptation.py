@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 
@@ -320,9 +321,25 @@ def assert_matches_reference(g, t, reward, opponent, **kw):
 
 @st.composite
 def adaptive_setups(draw):
-    """A random arena, a template of it, an opponent and the loop's parameters."""
+    """A random arena, a template of it, an opponent and the loop's parameters.
+    Some arenas get a sink: a state with one P2 action whose first P1 action
+    loops back to it, and maybe a one-outcome state whose step leaves it; the
+    template leaves only that action at both.  Their starts favour the sink,
+    and some of their horizons end on the first step at the sink."""
     g = random_game(random.Random(draw(st.integers(0, 2 ** 32))),
                     n_states=draw(st.integers(1, 6)))
+    sink = draw(st.none() | st.sampled_from(g.states))
+    one = ()
+    if sink is not None:
+        other = draw(st.sampled_from(g.states))
+        one = (sink,) if other == sink else (sink, other)
+        p1 = {v: g.p1_actions(v) for v in g.states}
+        p2 = {v: g.p2_actions(v)[:1] if v in one else g.p2_actions(v) for v in g.states}
+        delta = {(v, a, b): g.succ(v, a, b) for v in g.states for a in p1[v] for b in p2[v]}
+        for v in one:
+            delta[v, p1[v][0], p2[v][0]] = sink if v == sink else draw(
+                st.sampled_from([u for u in g.states if u != v]))
+        g = GameGraph(g.states, p1, p2, delta)
     states = st.sampled_from(g.states)
     kind = draw(st.sampled_from([*ObjectiveKind, "hand-built"]))
     target = frozenset(draw(st.sets(states, min_size=1)))
@@ -339,27 +356,37 @@ def adaptive_setups(draw):
             v = draw(states)
             (unsafe if draw(st.booleans()) else colive)[v] = frozenset(g.p1_actions(v))
         t = Template(t.winning, unsafe, live, t.partition, colive, "hand-built")
+    if one:
+        t = t._replace(unsafe={**t.unsafe, **{v: frozenset(g.p1_actions(v)[1:]) for v in one}},
+                       colive={**t.colive, **dict.fromkeys(one, frozenset())})
     opponent = draw(st.sampled_from(["uniform", "fixed", "greedy"]))
     if opponent == "uniform":
         opp = UniformRandom()
     elif opponent == "fixed":
         table = {}
-        for v in draw(st.sets(states)):
+        # sorted, so that the draws do not follow the hash seed's set order
+        for v in sorted(draw(st.sets(states))):
             acts = draw(st.lists(st.sampled_from(g.p2_actions(v)), min_size=1, unique=True))
             table[v] = ActionDistribution.uniform(acts)
         opp = FixedSchedule(table)
     else:
         opp = GreedyAdversary(solve(g, objective).ranks)
-    reward = RewardSpec({v: draw(st.floats(-3.0, 3.0)) for v in draw(st.sets(states))})
+    reward = RewardSpec({v: draw(st.floats(-3.0, 3.0)) for v in sorted(draw(st.sets(states)))})
     kw = dict(
         horizon=draw(st.integers(0, 40)),
         seed=draw(st.integers(0, 1000)),
-        start=draw(states),
+        start=draw(st.sampled_from((*one, *one, *g.states))),
         eps_live=draw(st.floats(1e-6, 0.99)),
         colive_base=draw(st.floats(1e-3, 4.0)),
         # the extreme values underflow an estimated share, or all of them
         alpha=draw(st.one_of(st.floats(0.01, 50.0), st.sampled_from([5e-324, 1e308]))),
     )
+    if sink is not None and draw(st.booleans()):
+        # end on the first step at the sink, if the reference episode reaches it
+        with contextlib.suppress(InputError):
+            at = [v for _, v, *_ in reference_run(g, t, reward, opp, **{**kw, "horizon": 40})[0]]
+            if sink in at:
+                kw["horizon"] = at.index(sink) + 1
     return g, t, reward, opp, kw
 
 

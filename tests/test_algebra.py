@@ -301,15 +301,14 @@ class TestIncremental:
         for earlier, later in zip(steps, steps[1:]):
             assert later.template.winning <= earlier.template.winning
 
-    def test_step_dict(self, buchi_game):
-        steps = incremental_synthesize(
-            buchi_game, [Objective(ObjectiveKind.BUCHI, frozenset({"C"}))])
-        raw = steps[0].to_dict()
-        assert raw["index"] == 1
-        assert raw["objective"] == {"kind": "buchi", "target": ["C"]}
-        assert raw["winning"] == ["A", "B", "C"]
-        assert raw["conflict_free"] is True
-        assert raw["exact_winning"] == ["A", "B", "C"]
+    def test_step_fields(self, buchi_game):
+        objective = Objective(ObjectiveKind.BUCHI, frozenset({"C"}))
+        (step,) = incremental_synthesize(buchi_game, [objective])
+        assert step.index == 1
+        assert step.objective == objective
+        assert step.template.winning == frozenset({"A", "B", "C"})
+        assert step.conflicts.ok and step.conflicts.conflicts == ()
+        assert step.exact_winning == frozenset({"A", "B", "C"})
 
     def test_empty_objectives_rejected(self, buchi_game):
         with pytest.raises(InputError):

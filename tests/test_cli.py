@@ -389,6 +389,20 @@ class TestAdaptCli:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "92da0e2bba3065fd83cc178acb2fb417555380504887682e1d00ce51cccc55d3"
 
+    @pytest.mark.parametrize("opponent, digest", [
+        (["fixed", "--opponent-file", OPP],
+         "2b1ccfa4e0bfa29a706c99d59678172be33d0171bf3801ac5498e9226eeb4d81"),
+        (["uniform"], "b0a16b698071a027f0f615343da44840aa6d90ee45e4d33d0658e7aa86b59013"),
+    ], ids=["fixed", "uniform"])
+    def test_long_traces_are_pinned(self, capsys, opponent, digest):
+        # episodes that end at the sink S0 or S1, where each player has one
+        # action; the hashes were recorded at a commit that played every step
+        code, out = run(
+            capsys, "adapt", COBUCHI, REWARD,
+            "--horizon", "2000", "--seed", "5", "--start", "S2", "--opponent", *opponent)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_bad_reward_state(self, capsys, tmp_path):
         bad = tmp_path / "r.json"
         bad.write_text('{"zz": 1.0}', encoding="utf-8")
@@ -402,6 +416,14 @@ class TestCompareCli:
                         "--start", "S2", "--pairs", "10", "--horizon", "500")
         assert code == 0
         assert out == golden_text("compare_cobuchi.txt")
+
+    def test_default_pairs_are_pinned(self, capsys):
+        # 50 pairs of 2000 steps, the adapt benchmark's episodes; the hash was
+        # recorded at a commit whose adaptive episodes played every step
+        code, out = run(capsys, "compare", COBUCHI, REWARD, OPP, "--start", "S2")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "fcaba608902fade86a68393b1fb33875d1ecddecb3256dc7a97081ca48130429"
 
     def test_output_file_matches_stdout(self, capsys, tmp_path):
         argv = ["compare", COBUCHI, REWARD, OPP, "--start", "S2", "--pairs", "2", "--horizon", "50"]
