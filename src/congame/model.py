@@ -583,6 +583,8 @@ def worker_count(jobs: int, n_tasks: int) -> int:
     more than there are tasks or CPUs; 1 means run in this process."""
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1:
+        return 1
     return max(1, min(jobs, n_tasks, os.cpu_count() or 1))
 
 

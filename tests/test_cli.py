@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from congame import NonConvergence, cli, strategies
 from congame.cli import main
 
+from . import pins
 from .conftest import GAMES, GOLDENS, REPO, golden_text
 
 BUCHI = str(GAMES / "buchi_cycle.json")
@@ -27,7 +28,6 @@ TB = str(GAMES / "tb_handshake.json")
 STRAT_B = str(GAMES / "strategy_buchi_nonmax.json")
 STRAT_C = str(GAMES / "strategy_cobuchi_nonmax.json")
 OPP = str(GAMES / "opponent_heavy_d.json")
-TPL_COLIVE = str(GAMES / "template_cobuchi_colive.json")
 REWARD = str(GAMES / "reward_s0.json")
 
 
@@ -50,12 +50,52 @@ UNDERFLOW = {"g": {"s": 1e300, "u": 1e-300}, "t": {"s": 1}}
 OVERFLOW = {"g": {"s": 1.7e308, "u": 1.7e308}, "t": {"s": 1}}
 
 
-class TestSolve:
-    def test_stdout_matches_golden(self, capsys):
-        code, out = run(capsys, "solve", BUCHI)
-        assert code == 0
-        assert out == golden_text("solve_buchi_cycle.json")
+@pytest.fixture(scope="module")
+def pin_problems() -> dict:
+    """Each pinned command's mismatch, or None, from one in-process run of
+    the table in `tests/pins.py`."""
+    return {pin.name: problem for pin, problem in pins.check(pins.PINS)}
 
+
+class TestPins:
+    """Every golden, sha256 pin and exit code of `tests/pins.py`, one id per
+    row; CI runs the same table through the installed `congame`."""
+
+    @pytest.mark.parametrize("name", [pin.name for pin in pins.PINS])
+    def test_row(self, pin_problems, name):
+        assert pin_problems[name] is None
+
+    def test_mismatches_are_named_and_exit_1(self, capsys):
+        altered = {"solve-buchi": {"golden": "solve_cobuchi_stabilize.json"},
+                   "adapt-long-greedy": {"sha256": "0" * 64}}
+        table = [pin._replace(**altered.get(pin.name, {})) for pin in pins.PINS]
+        assert pins.report(pins.check(table)) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(table)
+        assert [line.split()[1] for line in lines if line.startswith("FAIL")] == \
+            ["solve-buchi:", "adapt-long-greedy:"]
+
+    def test_empty_table_exits_1(self, capsys):
+        assert pins.report(pins.check(())) == 1
+        assert capsys.readouterr().out == "no pin ran\n"
+
+    def test_installed_must_import_this_checkout(self, capsys, tmp_path, monkeypatch):
+        shutil.copytree(REPO / "src", tmp_path / "src")
+        for name, src in [("here", REPO / "src"), ("other", tmp_path / "src")]:
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "congame").write_text(
+                f"#!/bin/sh\nPYTHONPATH='{src}' exec '{sys.executable}' -m congame.cli \"$@\"\n",
+                encoding="utf-8")
+            (tmp_path / name / "congame").chmod(0o755)
+        assert pins.imports_this_checkout(str(tmp_path / "here" / "congame"))
+        monkeypatch.setenv("PATH", str(tmp_path / "other"))
+        assert pins.main(["--installed"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"does not import {REPO / 'src'}" in captured.err
+
+
+class TestSolve:
     def test_output_file_matches_stdout(self, capsys, tmp_path):
         _, out = run(capsys, "solve", COBUCHI)
         path = tmp_path / "d.json"
@@ -121,14 +161,6 @@ class TestSolve:
 
 
 class TestTemplate:
-    def test_matches_golden(self, capsys):
-        code, out = run(capsys, "template", BUCHI)
-        assert code == 0
-        assert out == golden_text("template_buchi_cycle.json")
-        code, out = run(capsys, "template", COBUCHI)
-        assert code == 0
-        assert out == golden_text("template_cobuchi_stabilize.json")
-
     def test_deterministic(self, capsys):
         _, first = run(capsys, "template", COBUCHI)
         _, second = run(capsys, "template", COBUCHI)
@@ -163,18 +195,6 @@ class TestExtractCheckVerify:
         assert code == 0
         raw = json.loads(out)
         assert raw == {"template_conflict_free": True, "verdict": "compliant"}
-
-    def test_check_nonmaximal_verdicts_match_goldens(self, capsys, tmp_path):
-        tpl_b = tmp_path / "tb.json"
-        run(capsys, "template", BUCHI, "-o", str(tpl_b))
-        code, out = run(capsys, "check", BUCHI, str(tpl_b), STRAT_B)
-        assert code == 0
-        assert out == golden_text("verdict_buchi_nonmax.json")
-        tpl_c = tmp_path / "tc.json"
-        run(capsys, "template", COBUCHI, "-o", str(tpl_c))
-        code, out = run(capsys, "check", COBUCHI, str(tpl_c), STRAT_C)
-        assert code == 0
-        assert out == golden_text("verdict_cobuchi_nonmax.json")
 
     def test_extract_honors_parameters(self, capsys):
         _, out = run(capsys, "extract", BUCHI, "--eps-live", "0.2")
@@ -236,71 +256,6 @@ class TestSimulateCli:
         assert [log["episode"] for log in logs] == [0, 1, 2]
         assert all(log["start"] == "S4" for log in logs)
         assert all(len(log["steps"]) == 50 for log in logs)
-
-    def test_fixed_opponent_matches_golden(self, capsys, tmp_path):
-        # the golden pins every field of the JSON lines, visits and target
-        # counts included
-        tpl, strat = tmp_path / "t.json", tmp_path / "s.json"
-        run(capsys, "template", COBUCHI, "-o", str(tpl))
-        run(capsys, "extract", COBUCHI, str(tpl), "-o", str(strat))
-        code, out = run(capsys, "simulate", COBUCHI, str(strat), "--start", "S2",
-                        "--horizon", "60", "--episodes", "3",
-                        "--opponent", "fixed", "--opponent-file", OPP)
-        assert code == 0
-        assert out == golden_text("simulate_cobuchi_fixed.jsonl")
-
-    def test_long_fixed_opponent_episodes_are_pinned(self, capsys, tmp_path):
-        # episodes that stay at the sink S1 or S0 for nearly all of their 2000
-        # steps, with the game's target around them; the hash was recorded at a
-        # commit that played every step
-        tpl, strat = tmp_path / "t.json", tmp_path / "s.json"
-        run(capsys, "template", COBUCHI, "-o", str(tpl))
-        run(capsys, "extract", COBUCHI, str(tpl), "-o", str(strat))
-        code, out = run(capsys, "simulate", COBUCHI, str(strat), "--start", "S2",
-                        "--horizon", "2000", "--episodes", "5",
-                        "--opponent", "fixed", "--opponent-file", OPP)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == \
-            "831d5893cc47c925a76e577eb3fdc5948c776fd80b766fc7514b93a6c6eb3d93"
-
-    def test_long_greedy_episodes_are_pinned(self, capsys, tmp_path):
-        # the greedy opponent fixes its one action at every state but S2, so
-        # these episodes stop at the sink S1 or S0; the hash was recorded at a
-        # commit that asked the opponent at every step
-        tpl, strat = tmp_path / "t.json", tmp_path / "s.json"
-        run(capsys, "template", COBUCHI, "-o", str(tpl))
-        run(capsys, "extract", COBUCHI, str(tpl), "-o", str(strat))
-        code, out = run(capsys, "simulate", COBUCHI, str(strat), "--start", "S2",
-                        "--horizon", "2000", "--episodes", "5", "--opponent", "greedy")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == \
-            "bc2e99c9813b6b77335ede21fc4640cb307648ee7fb4a6f234daa9e1d6bbda02"
-
-    def test_greedy_episodes_at_all_constant_rows_are_pinned(self, capsys):
-        # greedy has two P2 actions at every state here, so its first pick at
-        # the all-constant rows A and C is their fixed action (C is a sink);
-        # B's geometric row asks it at every visit.  The hash was recorded at
-        # a commit that asked greedy at every step
-        code, out = run(capsys, "simulate", BUCHI, STRAT_B, "--episodes", "50",
-                        "--horizon", "500", "--opponent", "greedy")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == \
-            "0c99c7c3c552b17bdea37b02a061be6dc1e799bbab8b76eff19301e7b58ee7bf"
-
-    def test_geometric_rows_are_pinned(self, capsys, tmp_path):
-        # the template's colive x and y at S2 get decaying schedules next to
-        # constant a and b, so S2's row is drawn afresh at every visit; both
-        # hashes were recorded at a commit that kept two schedule records
-        strat = tmp_path / "s.json"
-        code, _ = run(capsys, "extract", COBUCHI, TPL_COLIVE, "-o", str(strat))
-        assert code == 0
-        assert hashlib.sha256(strat.read_bytes()).hexdigest() == \
-            "62ba093d56f4d764be0da855ec9615cafa501fd5ead273bc29d62debbae4a66f"
-        code, out = run(capsys, "simulate", COBUCHI, str(strat), "--start", "S2",
-                        "--horizon", "100", "--episodes", "50", "--opponent", "uniform")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == \
-            "c3f7a5bd855a29a736803c02b4ad707995530acf8f163c3735fe47faf92410ce"
 
     def test_deterministic_and_jobs_invariant(self, capsys, tmp_path):
         strat = tmp_path / "s.json"
@@ -379,30 +334,6 @@ class TestAdaptCli:
         assert len(calls) == 1
         assert out == golden_text("adapt_greedy_cobuchi.csv")
 
-    def test_long_greedy_trace_is_pinned(self, capsys):
-        # off S2 the greedy move and its check are built once per state; the
-        # hash was recorded at a commit that asked the opponent at every step
-        code, out = run(
-            capsys, "adapt", COBUCHI, REWARD,
-            "--horizon", "2000", "--seed", "7", "--start", "S2", "--opponent", "greedy")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == \
-            "92da0e2bba3065fd83cc178acb2fb417555380504887682e1d00ce51cccc55d3"
-
-    @pytest.mark.parametrize("opponent, digest", [
-        (["fixed", "--opponent-file", OPP],
-         "2b1ccfa4e0bfa29a706c99d59678172be33d0171bf3801ac5498e9226eeb4d81"),
-        (["uniform"], "b0a16b698071a027f0f615343da44840aa6d90ee45e4d33d0658e7aa86b59013"),
-    ], ids=["fixed", "uniform"])
-    def test_long_traces_are_pinned(self, capsys, opponent, digest):
-        # episodes that end at the sink S0 or S1, where each player has one
-        # action; the hashes were recorded at a commit that played every step
-        code, out = run(
-            capsys, "adapt", COBUCHI, REWARD,
-            "--horizon", "2000", "--seed", "5", "--start", "S2", "--opponent", *opponent)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
     def test_bad_reward_state(self, capsys, tmp_path):
         bad = tmp_path / "r.json"
         bad.write_text('{"zz": 1.0}', encoding="utf-8")
@@ -411,20 +342,6 @@ class TestAdaptCli:
 
 
 class TestCompareCli:
-    def test_matches_golden(self, capsys):
-        code, out = run(capsys, "compare", COBUCHI, REWARD, OPP,
-                        "--start", "S2", "--pairs", "10", "--horizon", "500")
-        assert code == 0
-        assert out == golden_text("compare_cobuchi.txt")
-
-    def test_default_pairs_are_pinned(self, capsys):
-        # 50 pairs of 2000 steps, the adapt benchmark's episodes; the hash was
-        # recorded at a commit whose adaptive episodes played every step
-        code, out = run(capsys, "compare", COBUCHI, REWARD, OPP, "--start", "S2")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == \
-            "fcaba608902fade86a68393b1fb33875d1ecddecb3256dc7a97081ca48130429"
-
     def test_output_file_matches_stdout(self, capsys, tmp_path):
         argv = ["compare", COBUCHI, REWARD, OPP, "--start", "S2", "--pairs", "2", "--horizon", "50"]
         code, out = run(capsys, *argv)
@@ -624,11 +541,6 @@ class TestIncrementalCli:
         assert lines[0] == "objective_size,objectives_added,conflict_fraction"
         assert len(lines) == 5
 
-    def test_matches_golden(self, capsys):
-        code, out = run(capsys, "incremental", "--games", "60")
-        assert code == 0
-        assert out == golden_text("incremental_games60.csv")
-
 
 class TestJobs:
     @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -663,11 +575,6 @@ class TestJobs:
 
 
 class TestConvertCli:
-    def test_matches_golden(self, capsys):
-        code, out = run(capsys, "convert", TB)
-        assert code == 0
-        assert out == golden_text("convert_tb_handshake.json")
-
     def test_stats_sidecar(self, capsys, tmp_path):
         stats = tmp_path / "stats.json"
         code, _ = run(capsys, "convert", TB, "--stats", str(stats))

@@ -535,6 +535,14 @@ class TestWorkerCount:
     def test_clamped(self, jobs, n_tasks, expected):
         assert worker_count(jobs, n_tasks) == expected
 
+    def test_one_job_does_not_ask_for_the_cpu_count(self, monkeypatch):
+        import congame.model as model_mod
+
+        def boom():
+            raise RuntimeError("os.cpu_count called")
+        monkeypatch.setattr(model_mod.os, "cpu_count", boom)
+        assert worker_count(1, 10) == 1
+
     def test_unknown_cpu_count_runs_serially(self, monkeypatch):
         import congame.model as model_mod
         monkeypatch.setattr(model_mod.os, "cpu_count", lambda: None)
