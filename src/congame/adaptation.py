@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from collections.abc import Mapping
 from itertools import accumulate, repeat
 from operator import mul
@@ -28,7 +27,7 @@ from .model import (
     _all_finite,
     _sum_lr,
 )
-from .strategies import Opponent, _one_outcome, _outcomes, _sample
+from .strategies import Opponent, _walk
 from .templates import Template, check_weight_params
 
 
@@ -86,19 +85,14 @@ class _Plan:
     no move raises :class:`Infeasible` on the step that reaches it, and an
     unvisited state never raises.  Action tuples are sorted, so ties still
     break lexicographically.  ``checks`` is what :func:`_complies` holds
-    each move to; ``pools`` are the persistent members of each live group that
-    has one; ``counts`` are the opponent's, per action of ``p2``; ``rows``
-    give each allowed action's reward against each action of ``p2``;
-    ``succ`` maps (P1, P2) actions to (successor, its reward, P2 index).  At a
-    state with one P2 action and no colive action, ``move`` holds what
-    ``strategies._outcomes`` keeps of the first step's move, then its verdict;
-    where that table has one outcome and it loops back, the state is a sink.
-    ``rule`` is the opponent's rule here (``strategies.Rule``), set at the first
-    pick, after the step's errors.
+    each move to, and ``ok`` is the verdict on the last move built here;
+    ``pools`` are the persistent members of each live group that has one;
+    ``counts`` are the opponent's, per action of ``p2`` in its order; ``rows``
+    give each allowed action's reward against each action of ``p2``.
     """
 
-    __slots__ = ("state", "floor", "checks", "pools", "colive", "allowed", "rest",
-                 "p2", "counts", "rows", "succ", "move", "rule")
+    __slots__ = ("state", "floor", "checks", "ok", "pools", "colive", "allowed", "rest",
+                 "p2", "counts", "rows")
 
     def __init__(self, g: GameGraph, t: Template, v: str, reward: RewardSpec,
                  eps_live: float):
@@ -117,15 +111,10 @@ class _Plan:
         self.allowed = tuple(sorted(colive | rest))
         self.rest = tuple(sorted(rest))
         self.p2 = g.p2_actions(v)
-        self.counts = [0] * len(self.p2)
-        self.move: Optional[tuple] = None
-        self.succ = {}
-        offset, row, _ = g.succ_row(v)
-        for a in self.allowed:
-            for bi, b in enumerate(self.p2):  # `p2` is sorted, as a run's places are
-                w = g.states[row[offset[a] + bi]]
-                self.succ[a, b] = (w, reward.at(w), bi)
-        self.rows = tuple((a, [self.succ[a, b][1] for b in self.p2])
+        self.counts = dict.fromkeys(self.p2, 0)
+        offset, row, _ = g.succ_row(v)  # `p2` is sorted, as a run's places are
+        k = len(self.p2)
+        self.rows = tuple((a, [reward.at(g.states[w]) for w in row[offset[a]:offset[a] + k]])
                           for a in self.allowed)
 
 
@@ -234,13 +223,13 @@ def run_adaptive(
     """Play one episode, re-deriving the mixed action from the template and
     the opponent counts gathered so far at each step where they can change it.
 
-    Randomness follows the same convention as simulation: random.Random
-    seeded once, P1 sampling before the opponent each step.  Every emitted
-    distribution is checked against the template constraints; violations are
-    counted (and expected to be zero).  Once an episode steps from a state back
-    to itself on its first visit there, and the stored move and the opponent
-    leave that step no other outcome, it repeats the step to the horizon without
-    drawing, adding its reward to the running total at each row.
+    The episode is a :func:`~congame.strategies._walk` whose move at a state is
+    the greedy step, fixed at a state with one P2 action and no colive action
+    (the estimate there is 1.0 and no visit cap applies).  Randomness follows
+    the same convention as simulation: random.Random seeded once, P1 sampling
+    before the opponent each step.  Every emitted distribution is checked
+    against the template constraints; violations are counted (and expected to
+    be zero), at every step that plays the distribution.
     """
     if start is None:
         start = g.states[0]
@@ -250,63 +239,41 @@ def run_adaptive(
     check_weight_params(eps_live, colive_base)
     if not 0.0 < alpha < math.inf:
         raise InputError("alpha must be positive and finite")
-    rng = random.Random(seed)
     plans: dict[str, _Plan] = {}
-    v = start
-    visits: dict[str, int] = {}
-    rows: list[tuple[int, str, str, str, float, float]] = []
-    cum = 0.0
-    violations = 0
-    for step in range(horizon):
-        n = visits.get(v, 0)
-        visits[v] = n + 1
+
+    def move(v: str, n: int) -> tuple[ActionDistribution, bool]:
         plan = plans.get(v)
         if plan is None:
             plan = plans[v] = _Plan(g, t, v, reward, eps_live)
-        move = plan.move
-        if move is not None:  # the step's outcome, or their list over the rule's draw table
-            table, cums, rule_cums, ok = move
-            out = table[bisect_right(cums, rng.random())]
-            if rule_cums is not None:
-                out = out[bisect_right(rule_cums, rng.random())]
-            a, b, w, r, bi = out
-        else:
-            # OpponentModel.estimate, on the plan's counts
-            denom = sum(plan.counts) + alpha * len(plan.p2)
-            est = [(c + alpha) / denom for c in plan.counts]
-            if 0.0 in est:
-                # an extreme alpha underflowed a share; the estimate drops it
-                # (a zero product leaves every sum as it was) or, with no
-                # share left, raises
-                ActionDistribution.from_mapping(dict(zip(plan.p2, est)))
-            d = _greedy(plan, est, n, colive_base)
-            ok = _complies(plan.checks, d, n, colive_base)
-            a = _sample(rng, d)  # drawn once; only a stored move gets a draw table
-            if not n:  # the first pick here builds the rule, then a fixed move's table
-                rule = plan.rule = opponent.rule(g, v)
-                if len(plan.p2) == 1 and not plan.colive:  # estimate 1.0, no visit cap
-                    # (and a rule that is not None: greedy's is the one action)
-                    plan.move = (*_outcomes(d, rule, lambda a, b: (a, b, *plan.succ[a, b])), ok)
-            b = opponent.pick(g, v, d) if (rule := plan.rule) is None else rule \
-                if rule.__class__ is str else rule[0][bisect_right(rule[1], rng.random())]
-            w, r, bi = plan.succ[a, b]
-        if not ok:
-            violations += 1
-        plan.counts[bi] += 1  # update_model, in place
+        # OpponentModel.estimate, on the plan's counts
+        counts = plan.counts.values()
+        denom = sum(counts) + alpha * len(counts)
+        est = [(c + alpha) / denom for c in counts]
+        if 0.0 in est:
+            # an extreme alpha underflowed a share; the estimate drops it (a
+            # zero product leaves every sum as it was) or, with no share left,
+            # raises
+            ActionDistribution.from_mapping(dict(zip(plan.p2, est)))
+        d = _greedy(plan, est, n, colive_base)
+        plan.ok = _complies(plan.checks, d, n, colive_base)
+        return d, len(plan.p2) == 1 and not plan.colive
+
+    rows: list[tuple[int, str, str, str, float, float]] = []
+    cum = 0.0
+    violations = 0
+    walk = _walk(g, opponent, start, horizon, random.Random(seed), move)
+    for step, ((v, a, b, w), times) in enumerate(walk):
+        plan = plans[v]
+        plan.counts[b] += times  # update_model, in place
+        if not plan.ok:
+            violations += times
+        r = reward.at(w)
         cum += r
         rows.append((step, v, a, b, r, cum))
-        if not n and w == v and plan.move and _one_outcome(plan.move[0], plan.move[2]):
-            # a sink: every step from here on is this one, whatever is drawn, and the
-            # episode's generator is read by nothing after the loop
-            tail = horizon - step - 1
-            plan.counts[bi] += tail
-            if not ok:
-                violations += tail
+        if times > 1:  # a sink: the same row for the steps left, adding as `cum += r` does
             rows += zip(range(step + 1, horizon), repeat(v), repeat(a), repeat(b), repeat(r),
-                        accumulate(repeat(r), initial=cum + r))  # adding as `cum += r` does
+                        accumulate(repeat(r), initial=cum + r))
             cum = rows[-1][5]
-            break
-        v = w
     model = OpponentModel(alpha=alpha, counts={
-        u: {b: c for b, c in zip(p.p2, p.counts) if c} for u, p in plans.items()})
+        u: {b: c for b, c in p.counts.items() if c} for u, p in plans.items()})
     return AdaptiveRun(rows=rows, total_reward=cum, violations=violations, model=model)

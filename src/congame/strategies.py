@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from itertools import accumulate, chain, takewhile
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import partial
 from operator import itemgetter
 from typing import NamedTuple, Optional, Union
@@ -154,7 +154,7 @@ def validate_strategy(g: GameGraph, s: ScheduleStrategy) -> list[int]:
     of P1's support, its actions of positive weight (all keys unless built in code)."""
     for v in g.states:
         if v not in s.schedules:
-            raise UnknownState(v)
+            raise InputError(f"strategy has no schedules at {v!r}")
     for v, table in s.schedules.items():
         if not g.action_mask(v, table):
             raise InputError(f"strategy has no schedules at {v!r}")
@@ -355,29 +355,11 @@ def _draws(d: ActionDistribution) -> tuple[tuple[str, ...], list[float]]:
     return acts + acts[-1:], list(accumulate(weights))
 
 
-# An opponent's `rule(g, v)`, built once per visited state by the episode loops: a
-# fixed action (no draw), a draw table of `_draws` (one draw) or None (greedy facing
-# several P2 actions: ask `pick`).  Greedy's pick is a function of (g, v, d1) and takes
-# no draw, so at a state whose P1 row is fixed the first step's pick is the state's
-# fixed action.
+# An opponent's `rule(g, v)`, built once per visited state by `_walk`: a fixed action
+# (no draw), a draw table of `_draws` (one draw) or None (greedy facing several P2
+# actions: ask `pick`).  Greedy's pick is a function of (g, v, d1) and takes no draw,
+# so at a state whose P1 row is fixed the first step's pick is the state's fixed action.
 Rule = Union[str, tuple[tuple[str, ...], list[float]], None]
-
-
-def _outcomes(d: ActionDistribution, rule: Union[str, tuple], outcome: Callable) -> tuple:
-    """What an episode loop keeps for a state with the fixed P1 row `d` and the opponent
-    rule (or fixed action) `rule`: ``(table, cums, rule_cums)``, `d`'s `_draws` with each
-    action replaced by its step's `outcome` ``(a, b)``, or by their list over `rule`'s
-    draw table if it has one (then `rule_cums` are its sums, else None)."""
-    acts, cums = _draws(d)
-    if rule.__class__ is str:
-        return [outcome(a, rule) for a in acts], cums, None
-    return [[outcome(a, b) for b in rule[0]] for a in acts], cums, rule[1]
-
-
-def _one_outcome(table: list, rule_cums: Optional[list]) -> bool:
-    """Whether every slot of an `_outcomes` `table` (and of its inner tables where the rule
-    draws) holds one outcome; where that outcome loops back, the episode is at a sink."""
-    return len(set(table if rule_cums is None else chain.from_iterable(table))) == 1
 
 
 class _Stationary:
@@ -477,6 +459,72 @@ class EpisodeLog(NamedTuple):
         }
 
 
+def _walk(
+    g: GameGraph,
+    opponent: Opponent,
+    start: str,
+    horizon: int,
+    rng: random.Random,
+    move: Callable[[str, int], tuple[ActionDistribution, bool]],
+) -> Iterator[tuple[tuple[str, str, str, str], int]]:
+    """Play one episode of `horizon` steps from `start`, yielding each step as
+    ``((state, p1, p2, next), times)``, the step played `times` times in a row.
+
+    ``move(v, n)`` gives P1's mixed action at the `n`-th visit of `v` and, read at
+    the first visit only, whether it is the same at every visit.  Each step draws
+    P1's action from `rng`, then the opponent's, after the errors of `move`.  At
+    its first pick at a state the walk keeps the state's successor lookup and the
+    opponent's rule and, where P1's action is fixed, a table of its steps, from
+    which every later step there is drawn.  A table of one outcome that loops back
+    is a sink: the walk yields it once with the steps left, ``horizon - k``, and
+    ends.  Table steps are the table's own tuples, shared across an episode.
+    """
+    states = g.states
+    visits: dict[str, int] = {}
+    tables: dict[str, tuple] = {}
+    lookups: dict[str, tuple] = {}
+    v = start
+    for k in range(horizon):
+        row = tables.get(v)
+        if row is not None:  # the step, or their list over the rule's draw table
+            table, cums, rule_cums = row
+            out = table[bisect_right(cums, rng.random())]
+            if rule_cums is not None:
+                out = out[bisect_right(rule_cums, rng.random())]
+            yield out
+            v = out[0][3]
+            continue
+        n = visits.get(v, 0)
+        visits[v] = n + 1
+        d1, same = move(v, n)
+        a = _sample(rng, d1)
+        offset, succ, places, rule = lookups.get(v) or lookups.setdefault(
+            v, (*g.succ_row(v), opponent.rule(g, v)))  # built at the first pick
+        b = opponent.pick(g, v, d1) if rule is None else rule if rule.__class__ is str \
+            else rule[0][bisect_right(rule[1], rng.random())]
+        w = states[succ[offset[a] + places[b]]]
+        if not n and same:  # P1's `_draws`, each action replaced by its step's pair, or
+            # their list over the rule's draw table; greedy's first pick is the row's action
+            acts, cums = _draws(d1)
+            fixed = b if rule is None else rule
+            if fixed.__class__ is str:
+                at = places[fixed]
+                table = [((v, x, fixed, states[succ[offset[x] + at]]), 1) for x in acts]
+                rule_cums = None
+            else:
+                table = [[((v, x, y, states[succ[offset[x] + places[y]]]), 1) for y in fixed[0]]
+                         for x in acts]
+                rule_cums = fixed[1]
+            tables[v] = table, cums, rule_cums
+            if w == v and len(set(table if rule_cums is None
+                                  else chain.from_iterable(table))) == 1:
+                # a sink; `rng` is the episode's own and read by nothing after the walk
+                yield (v, a, b, w), horizon - k
+                return
+        yield (v, a, b, w), 1
+        v = w
+
+
 def _run_episode(
     g: GameGraph,
     s: ScheduleStrategy,
@@ -487,47 +535,19 @@ def _run_episode(
     target: frozenset[str],
     episode: int,
 ) -> EpisodeLog:
-    rng = random.Random(seed)
-    states = g.states
-    v = start
+    def move(v: str, n: int) -> tuple[ActionDistribution, bool]:
+        return s.distribution(v, n), not n and all(x.r == 1.0 for x in s.schedules[v].values())
+
     visits: dict[str, int] = {}
-    # per visited state, its successor lookup (the strategy's actions are checked)
-    # and the opponent's rule; per all-constant row, what `_outcomes` keeps
-    lookups: dict[str, tuple] = {}
-    fixed: dict[str, tuple] = {}
     steps: list[tuple[str, str, str, str]] = []
-    tail = 0  # the steps left when the episode stops at a sink
-    for k in range(horizon):
-        n = visits.get(v, 0)
-        visits[v] = n + 1
-        row = fixed.get(v)
-        if row is not None:  # the step's outcome, or their list over the rule's draw table
-            table, cums, rule_cums = row
-            step = table[bisect_right(cums, rng.random())]
-            if rule_cums is not None:
-                step = step[bisect_right(rule_cums, rng.random())]
-            steps.append(step)
-            v = step[3]
-            continue
-        d1 = s.distribution(v, n)
-        a = _sample(rng, d1)
-        offset, succ, places, rule = lookups.get(v) or lookups.setdefault(
-            v, (*g.succ_row(v), opponent.rule(g, v)))  # built at the first pick
-        b = opponent.pick(g, v, d1) if rule is None else rule if rule.__class__ is str \
-            else rule[0][bisect_right(rule[1], rng.random())]
-        w = states[succ[offset[a] + places[b]]]
-        steps.append((v, a, b, w))
-        if not n and all(x.r == 1.0 for x in s.schedules[v].values()):
-            table, _, rule_cums = fixed[v] = _outcomes(
-                d1, b if rule is None else rule,
-                lambda a, b: (v, a, b, states[succ[offset[a] + places[b]]]))
-            # a sink: every step from here on is this one, whatever is drawn, and the
-            # episode's generator is read by nothing after the loop
-            if w == v and _one_outcome(table, rule_cums):
-                tail = horizon - k - 1
-                break
-        v = w
-    visits[v] = visits.get(v, 0) + 1 + tail  # so `visits` counts the start and each successor
+    times = 1
+    for step, times in _walk(g, opponent, start, horizon, random.Random(seed), move):
+        v = step[0]
+        visits[v] = visits.get(v, 0) + times
+        steps.append(step)
+    w = steps[-1][3] if steps else start
+    visits[w] = visits.get(w, 0) + 1  # so `visits` counts the start and each successor
+    tail = times - 1  # the steps repeated at a sink
     backwards = chain(map(itemgetter(3), reversed(steps)), (start,))
     suffix = sum(1 for _ in takewhile(target.__contains__, backwards))
     steps += steps[-1:] * tail
@@ -551,11 +571,10 @@ def simulate(
 ) -> list[EpisodeLog]:
     """Run independent episodes; episode i uses seed `seed + i`.
 
-    All randomness flows through random.Random (Mersenne Twister) with the
-    per-episode derived seed; P1 samples first, then the opponent, from the
-    same stream.  Once an episode steps from a state back to itself on its
-    first visit there, and P1's row and the opponent leave that step no other
-    outcome, it repeats the step to the horizon without drawing.  With
+    Each episode is a :func:`_walk` whose move at a state is the strategy's
+    row there, fixed where the row is all-constant.  All randomness flows
+    through random.Random (Mersenne Twister) with the per-episode derived
+    seed; P1 samples first, then the opponent, from the same stream.  With
     jobs > 1 episodes may run in a process pool
     (:func:`~congame.model.map_tasks`) and are merged back in episode order,
     byte-identical to the sequential run; a script that passes jobs > 1

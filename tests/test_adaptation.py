@@ -21,6 +21,8 @@ from congame import (
     ObjectiveKind,
     OpponentModel,
     RewardSpec,
+    Schedule,
+    ScheduleStrategy,
     Template,
     UniformRandom,
     UnknownAction,
@@ -495,10 +497,71 @@ class TestBadOpponentRow:
         assert type(e.value) is InputError
 
 
+def played(loop, g, t, opponent, horizon, seed, start):
+    """The states at which each step of one episode plays: a `run_adaptive`
+    episode of template `t` (loop 0), or a `simulate` episode of the strategy
+    extracted from it with S2's row made geometric (loop 1), so that in both
+    loops the move at S2 changes from visit to visit and every other state's
+    stays as it is.  Both loops are `strategies._walk`."""
+    if loop == 0:
+        run = run_adaptive(g, t, RewardSpec({}), opponent, horizon=horizon, seed=seed,
+                           start=start)
+        return [v for _, v, *_ in run.rows]
+    rows = dict(extract_strategy(g, t).schedules)
+    rows["S2"] = {a: Schedule(x.c, 0.5) for a, x in rows["S2"].items()}
+    (log,) = simulate(g, ScheduleStrategy(rows), opponent, horizon=horizon, episodes=1,
+                      seed=seed, start=start)
+    return [v for v, *_ in log.steps]
+
+
+class TestWalkCallers:
+    """What `strategies._walk` keeps per visited state, seen from both loops
+    on the cobuchi game, whose S3 and S4 step back to S2 and whose S0 and S1
+    are sinks."""
+
+    @pytest.mark.parametrize("loop", [0, 1])
+    def test_rule_is_built_once_per_visited_state(self, cobuchi_game, cobuchi_objective,
+                                                  monkeypatch, loop):
+        calls: list[str] = []
+        rule = UniformRandom.rule
+        monkeypatch.setattr(UniformRandom, "rule",
+                            lambda self, g, v: calls.append(v) or rule(self, g, v))
+        t = template_for(cobuchi_game, cobuchi_objective)
+        for seed in range(3):
+            calls.clear()
+            at = played(loop, cobuchi_game, t, UniformRandom(), 100, seed, "S2")
+            assert at.count("S2") > 1
+            assert sorted(calls) == sorted(set(at))
+
+    @pytest.mark.parametrize("loop", [0, 1])
+    def test_move_runs_once_per_fixed_row(self, cobuchi_game, cobuchi_objective,
+                                          monkeypatch, loop):
+        # the greedy step, or the strategy's row, is computed at every visit of
+        # S2 and at the first visit of every other state
+        calls: list[str] = []
+        if loop == 0:
+            greedy = adaptation._greedy
+            monkeypatch.setattr(adaptation, "_greedy",
+                                lambda plan, *args: calls.append(plan.state) or greedy(plan, *args))
+        else:
+            row = ScheduleStrategy.distribution
+            monkeypatch.setattr(ScheduleStrategy, "distribution",
+                                lambda s, v, n: calls.append(v) or row(s, v, n))
+        t = template_for(cobuchi_game, cobuchi_objective)
+        revisited = set()
+        for seed in range(3):
+            calls.clear()
+            at = played(loop, cobuchi_game, t, UniformRandom(), 100, seed, "S2")
+            assert {v: calls.count(v) for v in at} == \
+                {v: at.count(v) if v == "S2" else 1 for v in at}
+            revisited |= {v for v in ("S3", "S4") if at.count(v) > 1}
+        assert revisited
+
+
 class TestFixedMoves:
     """At a state with one P2 action and no colive action the move and its
     verdict cannot change, so run_adaptive computes them on the first visit
-    only; everywhere else it rebuilds them at every step."""
+    only (see `TestWalkCallers`); everywhere else it rebuilds them at every step."""
 
     @pytest.fixture
     def benchmark_run(self, cobuchi_game, cobuchi_objective):
@@ -508,23 +571,6 @@ class TestFixedMoves:
         opp = FixedSchedule.from_dict(raw, cobuchi_game)
         return lambda: run_adaptive(cobuchi_game, t, RewardSpec({"S0": 1.0}), opp,
                                     horizon=2000, seed=0, start="S2")
-
-    def test_greedy_runs_once_per_fixed_plan(self, benchmark_run, monkeypatch):
-        calls = []
-        greedy = adaptation._greedy
-
-        def counted(plan, *args):
-            calls.append(plan.state)
-            return greedy(plan, *args)
-
-        monkeypatch.setattr(adaptation, "_greedy", counted)
-        run = benchmark_run()
-        at = [v for _, v, *_ in run.rows]
-        others = set(at) - {"S2"}
-        # S2 has three opponent actions; every other state has one
-        assert others and calls.count("S2") == at.count("S2") < len(at)
-        assert sorted(v for v in calls if v != "S2") == sorted(others)
-        assert len(calls) == at.count("S2") + len(others)
 
     def test_violations_count_every_step_of_a_fixed_plan(self, benchmark_run, monkeypatch):
         monkeypatch.setattr(adaptation, "_complies", lambda *args: False)

@@ -354,6 +354,9 @@ class TestCompareCli:
 
 
 OPP_ARGS = ["--opponent", "fixed", "--opponent-file"]
+# a strategy that lacks a state of its game
+STRAT_B_WITHOUT_C = json.dumps({v: row for v, row in json.loads(
+    (GAMES / "strategy_buchi_nonmax.json").read_text(encoding="utf-8")).items() if v != "C"})
 TEMPLATE = '"live": {}, "partition": [], "objective_tag": "buchi"'
 COMPARE_ARGS = ["--start", "S2", "--pairs", "1", "--horizon", "5"]
 NO_OBJECTIVE = ('{"states": ["A"], "p1_actions": {"A": ["a"]}, "p2_actions": {"A": ["b"]}, '
@@ -379,6 +382,7 @@ class TestBadInputsCli:
          "unknown state 'ZZ'"),
         (["verify", COBUCHI, "{f}"], '{"S0": [1]}',
          "strategy must map states to JSON objects of schedules"),
+        (["verify", BUCHI, "{f}"], STRAT_B_WITHOUT_C, "strategy has no schedules at 'C'"),
         (["verify", COBUCHI, "{f}"], '{"S0": {"a": {"kind": "constant"}}}',
          "constant weight must be a positive finite number at 'S0'/'a'"),
         (["verify", COBUCHI, "{f}"], '{"S2": {"a": {"kind": "constant", "p": NaN}}}',
@@ -434,7 +438,8 @@ class TestBadInputsCli:
         (["compare", "{f}", REWARD, OPP, *COMPARE_ARGS], NO_OBJECTIVE,
          "{f}: game file has no objective"),
     ], ids=["opponent-list", "opponent-string-row", "opponent-nan", "opponent-numeric-string",
-            "opponent-unknown-state", "strategy-list-row", "strategy-constant-without-p",
+            "opponent-unknown-state", "strategy-list-row", "strategy-missing-state",
+            "strategy-constant-without-p",
             "strategy-nan-p", "strategy-infinite-c", "template-live-list", "template-string-winning",
             "template-string-cells", "template-empty-live-entry", "reward-string", "reward-numeric-string", "reward-nan",
             "adapt-eps-live-nan", "adapt-colive-base-negative", "adapt-alpha-zero",

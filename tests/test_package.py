@@ -11,6 +11,7 @@ import types
 
 import congame
 
+from . import mutants
 from .conftest import REPO
 
 
@@ -69,3 +70,10 @@ def test_every_definition_is_used_outside_the_tests():
         used |= _read_names(path, dotted=True)[1]
     unused = sorted(n for n in defined - used if not (n.startswith("__") and n.endswith("__")))
     assert not unused, f"defined but never used outside the tests: {', '.join(unused)}"
+
+
+def test_every_mutant_text_occurs_once():
+    # `python -m tests.mutants` rejects a row whose text is not found exactly
+    # once; this finds a refactor that moves one without running the mutants
+    assert {m.name: mutants.occurrences(m) for m in mutants.MUTANTS} == \
+        {m.name: 1 for m in mutants.MUTANTS}

@@ -158,8 +158,13 @@ class TestSchedules:
         assert ratio_one.to_dict() == constant.to_dict()
 
     def test_validate_strategy(self, buchi_game):
-        with pytest.raises(UnknownState):
+        # a state of the game without a row is missing, not unknown
+        with pytest.raises(InputError, match="^strategy has no schedules at 'B'$") as e:
             validate_strategy(buchi_game, all_constant({"A": {"a": 1.0}}))
+        assert type(e.value) is InputError
+        rows = {v: {"a": 1.0} for v in "ABC"}
+        with pytest.raises(UnknownState, match="^unknown state 'Z'$"):
+            validate_strategy(buchi_game, all_constant({**rows, "Z": {"a": 1.0}}))
         bad = all_constant(
             {"A": {"z": 1.0}, "B": {"a": 1.0}, "C": {"a": 1.0}})
         with pytest.raises(UnknownAction):
