@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Mapping
-from itertools import accumulate, repeat
+from itertools import count, repeat
 from operator import mul
 from typing import NamedTuple, Optional
 
@@ -88,7 +88,8 @@ class _Plan:
     each move to, and ``ok`` is the verdict on the last move built here;
     ``pools`` are the persistent members of each live group that has one;
     ``counts`` are the opponent's, per action of ``p2`` in its order; ``rows``
-    give each allowed action's reward against each action of ``p2``.
+    give each allowed action's reward against each action of ``p2``, and are
+    empty where one action is allowed, since :func:`_greedy` reads none there.
     """
 
     __slots__ = ("state", "floor", "checks", "ok", "pools", "colive", "allowed", "rest",
@@ -112,6 +113,9 @@ class _Plan:
         self.rest = tuple(sorted(rest))
         self.p2 = g.p2_actions(v)
         self.counts = dict.fromkeys(self.p2, 0)
+        if len(self.allowed) == 1:
+            self.rows = ()
+            return
         offset, row, _ = g.succ_row(v)  # `p2` is sorted, as a run's places are
         k = len(self.p2)
         self.rows = tuple((a, [reward.at(g.states[w]) for w in row[offset[a]:offset[a] + k]])
@@ -120,20 +124,30 @@ class _Plan:
 
 def _greedy(plan: _Plan, est: list[float], visit: int, colive_base: float) -> ActionDistribution:
     """The greedy move at the plan's state on its `visit`-th visit, given
-    the opponent estimate `est` over ``plan.p2``; see :func:`adapt_step`."""
+    the opponent estimate `est` over ``plan.p2``; see :func:`adapt_step`.
+
+    Where the plan allows one action, which then is not colive, every pool is
+    that action: it gets each pool's floor in turn, then the remainder, the
+    weight that the general body adds up, with no expected reward computed.
+    """
+    floor = plan.floor
+    rem = 1.0 - floor * len(plan.pools)
+    if rem < 0:
+        raise Infeasible(plan.state, "live floors exceed total mass")
+    if not plan.rows:  # one allowed action
+        p = _sum_lr(repeat(floor, len(plan.pools)))
+        if rem > 0:
+            p += rem
+        return ActionDistribution(((plan.allowed[0], p),))
     expected = {a: _sum_lr(map(mul, est, row)) for a, row in plan.rows}
 
     def best_of(pool: tuple[str, ...]) -> str:
         return max(pool, key=expected.__getitem__)
 
-    floor = plan.floor
     alloc: dict[str, float] = {}
     for pool in plan.pools:
         w = best_of(pool)
         alloc[w] = alloc.get(w, 0.0) + floor
-    rem = 1.0 - floor * len(plan.pools)
-    if rem < 0:
-        raise Infeasible(plan.state, "live floors exceed total mass")
 
     cap = colive_base * 2.0 ** -visit
     best = best_of(plan.allowed)
@@ -272,7 +286,7 @@ def run_adaptive(
         rows.append((step, v, a, b, r, cum))
         if times > 1:  # a sink: the same row for the steps left, adding as `cum += r` does
             rows += zip(range(step + 1, horizon), repeat(v), repeat(a), repeat(b), repeat(r),
-                        accumulate(repeat(r), initial=cum + r))
+                        count(cum + r, r))
             cum = rows[-1][5]
     model = OpponentModel(alpha=alpha, counts={
         u: {b: c for b, c in p.counts.items() if c} for u, p in plans.items()})

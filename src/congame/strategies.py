@@ -91,9 +91,16 @@ class ScheduleStrategy(NamedTuple):
     schedules: Mapping[str, Mapping[str, Schedule]]
 
     def distribution(self, v: str, visit: int) -> ActionDistribution:
+        """P1's mixed action at the `visit`-th visit of `v`.  A row of one
+        schedule with positive finite c and r is that action alone, at 1.0 as
+        the general body computes it: c * (r / r) ** n is c, and c / c is 1.0."""
         table = self.schedules.get(v)
         if not table:
             raise UnknownState(v)
+        if len(table) == 1:
+            ((a, s),) = table.items()
+            if 0.0 < s.c <= _MAX_FLOAT and 0.0 < s.r <= _MAX_FLOAT:
+                return ActionDistribution(((a, 1.0),))
         # a row is scaled by its largest ratio, so that an all-decaying row's weights
         # cannot all underflow (r / 1.0 is r exactly, and 1.0 ** n is 1.0)
         r_max = max(s.r for s in table.values())
@@ -151,14 +158,22 @@ def _positive(table: Mapping[str, Schedule]) -> dict[str, Schedule]:
 
 def validate_strategy(g: GameGraph, s: ScheduleStrategy) -> list[int]:
     """Check `s`'s names and rows against `g`; return per state index the mask
-    of P1's support, its actions of positive weight (all keys unless built in code)."""
+    of P1's support, its actions of positive weight (all keys unless built in
+    code, so a row's own mask is its support mask where every weight is positive)."""
     for v in g.states:
         if v not in s.schedules:
             raise InputError(f"strategy has no schedules at {v!r}")
+    support: dict[str, int] = {}
     for v, table in s.schedules.items():
-        if not g.action_mask(v, table):
+        mask = g.action_mask(v, table)
+        if not mask:
             raise InputError(f"strategy has no schedules at {v!r}")
-    return [g.action_mask(v, _positive(s.schedules[v])) for v in g.states]
+        for x in table.values():
+            if not x.c > 0.0:  # NaN too
+                mask = g.action_mask(v, _positive(table))
+                break
+        support[v] = mask
+    return [support[v] for v in g.states]
 
 
 # -- extraction --------------------------------------------------------------

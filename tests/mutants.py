@@ -39,6 +39,9 @@ FIXED_MOVES = "tests/test_adaptation.py::TestFixedMoves"
 PROFILES = "tests/test_strategies.py::TestSupportProfiles"
 SOLVERS = "tests/test_solvers.py"
 PREDECESSORS = "tests/test_operators.py::TestOpponentPredecessors"
+ONE_ACTION = "tests/test_adaptation.py::TestOneActionMove"
+SINK_TAIL = "tests/test_adaptation.py::TestRunAdaptive::test_sink_tail_adds_as_cum_plus_r"
+ZERO_ROW = "tests/test_strategies.py::test_row_without_positive_weight_is_an_input_error"
 
 
 class Mutant(NamedTuple):
@@ -71,6 +74,26 @@ MUTANTS = (
            "violations += 1",
            (FAILING_MOVE, FIXED_MOVES),
            "a failing move counts a violation at every repeated step"),
+    Mutant("adapt-one-action-no-floors", "adaptation.py",
+           "            p += rem\n",
+           "            p = rem\n",
+           (ONE_ACTION,),
+           "a one-action move adds each pool's floor before the remainder"),
+    Mutant("adapt-tail-from-cum", "adaptation.py",
+           "count(cum + r, r)",
+           "count(cum, r)",
+           (SINK_TAIL, ADAPTIVE),
+           "the sink's first repeated row already adds its own reward"),
+    Mutant("simulate-suffix-without-tail", "strategies.py",
+           "longest_target_suffix=suffix and suffix + tail,",
+           "longest_target_suffix=suffix,",
+           (SIMULATED,),
+           "a target sink's repeated steps belong to the longest target suffix"),
+    Mutant("distribution-one-zero-weight", "strategies.py",
+           "if 0.0 < s.c <= _MAX_FLOAT and",
+           "if 0.0 <= s.c <= _MAX_FLOAT and",
+           (ZERO_ROW,),
+           "a one-schedule row of weight zero has no positive weight"),
     Mutant("buchi-target-only", "solvers.py",
            "x1 = pre1_mask(g, w, i_mask)",
            "x1 = i_mask & w",

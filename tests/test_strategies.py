@@ -95,6 +95,17 @@ class TestSchedules:
         d = all_constant({"A": {"a": 1.2e308, "b": 0.5e308}}).distribution("A", 0)
         assert d.probs == (("a", 1.2e308 / 1.7e308), ("b", 0.5e308 / 1.7e308))
 
+    @pytest.mark.parametrize("c, r", [(5e-324, 0.5), (0.5, 1.0), (2.0, 0.5), (1.7e308, 1.0)])
+    def test_one_schedule_row_is_its_action_alone(self, c, r):
+        s = ScheduleStrategy({"A": {"a": Schedule(c, r)}})
+        for n in (0, 1, 5000):
+            assert s.distribution("A", n).probs == (("a", 1.0),)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf")])
+    def test_one_schedule_row_without_a_positive_finite_weight(self, c):
+        with pytest.raises(InputError):
+            ScheduleStrategy({"A": {"a": Schedule(c)}}).distribution("A", 0)
+
     def test_unknown_state(self):
         s = all_constant({"A": {"a": 1.0}})
         with pytest.raises(UnknownState):
