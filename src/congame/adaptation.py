@@ -88,8 +88,7 @@ class _Plan:
     each move to, and ``ok`` is the verdict on the last move built here;
     ``pools`` are the persistent members of each live group that has one;
     ``counts`` are the opponent's, per action of ``p2`` in its order; ``rows``
-    give each allowed action's reward against each action of ``p2``, and are
-    empty where one action is allowed, since :func:`_greedy` reads none there.
+    give each allowed action's reward against each action of ``p2``.
     """
 
     __slots__ = ("state", "floor", "checks", "ok", "pools", "colive", "allowed", "rest",
@@ -113,9 +112,6 @@ class _Plan:
         self.rest = tuple(sorted(rest))
         self.p2 = g.p2_actions(v)
         self.counts = dict.fromkeys(self.p2, 0)
-        if len(self.allowed) == 1:
-            self.rows = ()
-            return
         offset, row, _ = g.succ_row(v)  # `p2` is sorted, as a run's places are
         k = len(self.p2)
         self.rows = tuple((a, [reward.at(g.states[w]) for w in row[offset[a]:offset[a] + k]])
@@ -124,30 +120,20 @@ class _Plan:
 
 def _greedy(plan: _Plan, est: list[float], visit: int, colive_base: float) -> ActionDistribution:
     """The greedy move at the plan's state on its `visit`-th visit, given
-    the opponent estimate `est` over ``plan.p2``; see :func:`adapt_step`.
-
-    Where the plan allows one action, which then is not colive, every pool is
-    that action: it gets each pool's floor in turn, then the remainder, the
-    weight that the general body adds up, with no expected reward computed.
-    """
-    floor = plan.floor
-    rem = 1.0 - floor * len(plan.pools)
-    if rem < 0:
-        raise Infeasible(plan.state, "live floors exceed total mass")
-    if not plan.rows:  # one allowed action
-        p = _sum_lr(repeat(floor, len(plan.pools)))
-        if rem > 0:
-            p += rem
-        return ActionDistribution(((plan.allowed[0], p),))
+    the opponent estimate `est` over ``plan.p2``; see :func:`adapt_step`."""
     expected = {a: _sum_lr(map(mul, est, row)) for a, row in plan.rows}
 
     def best_of(pool: tuple[str, ...]) -> str:
         return max(pool, key=expected.__getitem__)
 
+    floor = plan.floor
     alloc: dict[str, float] = {}
     for pool in plan.pools:
         w = best_of(pool)
         alloc[w] = alloc.get(w, 0.0) + floor
+    rem = 1.0 - floor * len(plan.pools)
+    if rem < 0:
+        raise Infeasible(plan.state, "live floors exceed total mass")
 
     cap = colive_base * 2.0 ** -visit
     best = best_of(plan.allowed)

@@ -168,11 +168,8 @@ def validate_strategy(g: GameGraph, s: ScheduleStrategy) -> list[int]:
         mask = g.action_mask(v, table)
         if not mask:
             raise InputError(f"strategy has no schedules at {v!r}")
-        for x in table.values():
-            if not x.c > 0.0:  # NaN too
-                mask = g.action_mask(v, _positive(table))
-                break
-        support[v] = mask
+        support[v] = (mask if all(x.c > 0.0 for x in table.values())
+                      else g.action_mask(v, _positive(table)))
     return [support[v] for v in g.states]
 
 

@@ -39,7 +39,6 @@ FIXED_MOVES = "tests/test_adaptation.py::TestFixedMoves"
 PROFILES = "tests/test_strategies.py::TestSupportProfiles"
 SOLVERS = "tests/test_solvers.py"
 PREDECESSORS = "tests/test_operators.py::TestOpponentPredecessors"
-ONE_ACTION = "tests/test_adaptation.py::TestOneActionMove"
 SINK_TAIL = "tests/test_adaptation.py::TestRunAdaptive::test_sink_tail_adds_as_cum_plus_r"
 ZERO_ROW = "tests/test_strategies.py::test_row_without_positive_weight_is_an_input_error"
 
@@ -74,11 +73,6 @@ MUTANTS = (
            "violations += 1",
            (FAILING_MOVE, FIXED_MOVES),
            "a failing move counts a violation at every repeated step"),
-    Mutant("adapt-one-action-no-floors", "adaptation.py",
-           "            p += rem\n",
-           "            p = rem\n",
-           (ONE_ACTION,),
-           "a one-action move adds each pool's floor before the remainder"),
     Mutant("adapt-tail-from-cum", "adaptation.py",
            "count(cum + r, r)",
            "count(cum, r)",

@@ -7,7 +7,7 @@ import json
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congame import (
@@ -37,7 +37,6 @@ from congame import (
 )
 from congame import adaptation
 from congame.corpus import random_game
-from congame.model import _sum_lr
 from congame.strategies import _sample
 
 from .conftest import GAMES, reference_pick
@@ -210,71 +209,6 @@ class TestAdaptStep:
         t = chain_template(colive={"P": frozenset({"a", "b"})}, live={})
         with pytest.raises(Infeasible):
             adapt_step(chain_game, t, "P", 0, OpponentModel(), RewardSpec({}))
-
-
-def general_greedy(g, plan, reward, est, visit, colive_base):
-    """The body of `adaptation._greedy` for any number of allowed actions, with
-    each allowed action's expected reward worked out here."""
-    v = plan.state
-    expected = {a: _sum_lr(p * reward.at(g.succ(v, a, b)) for p, b in zip(est, plan.p2))
-                for a in plan.allowed}
-
-    def best_of(pool):
-        return max(pool, key=expected.__getitem__)
-
-    floor = plan.floor
-    alloc = {}
-    for pool in plan.pools:
-        w = best_of(pool)
-        alloc[w] = alloc.get(w, 0.0) + floor
-    rem = 1.0 - floor * len(plan.pools)
-    if rem < 0:
-        raise Infeasible(v, "live floors exceed total mass")
-    cap = colive_base * 2.0 ** -visit
-    best = best_of(plan.allowed)
-    if best in plan.colive:
-        spend = min(rem, cap)
-        if spend > 0:
-            alloc[best] = alloc.get(best, 0.0) + spend
-            rem -= spend
-        best = best_of(plan.rest)
-    if rem > 0:
-        alloc[best] = alloc.get(best, 0.0) + rem
-    return tuple(sorted((a, p) for a, p in alloc.items() if p != 0.0))
-
-
-class TestOneActionMove:
-    """Where a plan allows one action, `_greedy` skips the expected rewards and
-    adds up that action's weight itself; it must be the general body's, bit for
-    bit, and raise where the general body raises."""
-
-    @given(eps_live=st.one_of(st.floats(1e-6, 4.0), st.sampled_from([1 / 3, 0.5, 1.0])),
-           pools=st.integers(0, 3),
-           others=st.lists(st.sampled_from([frozenset(), frozenset({"b"})]), max_size=2),
-           order=st.randoms(use_true_random=False),
-           visit=st.integers(0, 80),
-           colive_base=st.floats(1e-3, 4.0))
-    @example(eps_live=2.0, pools=2, others=[], order=random.Random(0), visit=0, colive_base=0.25)
-    @example(eps_live=1.0, pools=3, others=[], order=random.Random(0), visit=0, colive_base=0.25)
-    def test_equals_the_general_body(self, chain_game, eps_live, pools, others, order, visit,
-                                     colive_base):
-        # P allows only a (b is unsafe); each group holding a is a pool, the
-        # others only lower the floor
-        groups = [frozenset({"a"}), frozenset({"a", "b"})] * 2
-        groups = groups[:pools] + others
-        order.shuffle(groups)
-        t = chain_template(unsafe={"P": frozenset({"b"})}, live={"P": tuple(groups)})
-        reward = RewardSpec({"P": 1.0, "Q": 2.0})
-        plan = adaptation._Plan(chain_game, t, "P", reward, eps_live)
-        assert plan.allowed == ("a",) and len(plan.pools) == pools and not plan.rows
-        try:
-            want = general_greedy(chain_game, plan, reward, [1.0], visit, colive_base)
-        except Infeasible as e:
-            with pytest.raises(Infeasible) as got:
-                adaptation._greedy(plan, [1.0], visit, colive_base)
-            assert (got.value.state, str(got.value)) == (e.state, str(e))
-            return
-        assert adaptation._greedy(plan, [1.0], visit, colive_base).probs == want
 
 
 class TestRunAdaptive:
