@@ -108,17 +108,15 @@ class GameGraph:
     counter product lays out copies of a valid game's table one after
     another (:meth:`_copies`); its states are in copy order, not sorted.
 
-    The operators run on an index that extraction and compliance checking
-    never read, so it is built on first use: the views below read its slots
-    inside a ``try``, which costs nothing until a slot turns out empty.  Per
-    state and P1 action it holds the mask of the successor states and
-    ``(successor bit, mask of the P2 actions leading there)`` pairs
-    (:meth:`succ_rows`); per state, the mask of its predecessors, which the
-    solvers and verification use to find what a changed iterate can affect.
+    The operators read the successor table itself, one run of successor
+    indices per P1 action (:meth:`succ_runs`).  Per state, the mask of its
+    predecessors, which the solvers and verification use to find what a
+    changed iterate can affect, is built on first use (:meth:`pred_mask`):
+    extraction and compliance checking never read it.
     """
 
     __slots__ = (
-        "states", "_index", "_p1", "_p2", "_p1_offset", "_p2_index", "_succ", "_rows", "_pred",
+        "states", "_index", "_p1", "_p2", "_p1_offset", "_p2_index", "_succ", "_pred",
     )
 
     def __init__(
@@ -194,31 +192,12 @@ class GameGraph:
         return g
 
     def _build_index(self) -> GameGraph:
-        """Fill the operator index from the successor table; returns self."""
-        self._rows = []
+        """Fill the predecessor masks from the successor table; returns self."""
         pred = [0] * len(self.states)
         for vi, row in enumerate(self._succ):
-            runs = []
-            succ_all = 0
-            k = len(self._p2[vi])
-            for start in range(0, len(row), k):
-                # P2 actions per successor bit, in first-reached order
-                by_succ: dict[int, int] = {}
-                m = 0
-                b_bit = 1
-                for wi in row[start:start + k]:
-                    w_bit = 1 << wi
-                    m |= w_bit
-                    by_succ[w_bit] = by_succ.get(w_bit, 0) | b_bit
-                    b_bit <<= 1
-                runs.append((m, tuple(by_succ.items())))
-                succ_all |= m
-            self._rows.append(tuple(runs))
             v_bit = 1 << vi
-            while succ_all:
-                low = succ_all & -succ_all
-                pred[low.bit_length() - 1] |= v_bit
-                succ_all ^= low
+            for wi in set(row):
+                pred[wi] |= v_bit
         self._pred = tuple(pred)
         return self
 
@@ -308,21 +287,18 @@ class GameGraph:
 
     # -- internal index-level views used by the operators -----------------
 
-    def succ_rows(self, vi: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-        """Per P1 action at state `vi`, the mask of its successor states and
-        ``(successor bit, P2 action mask)`` pairs: the P2 actions in the mask
-        lead to that successor."""
-        try:
-            return self._rows[vi]
-        except AttributeError:  # an empty slot: the index is not built yet
-            return self._build_index()._rows[vi]
+    def succ_runs(self, vi: int) -> tuple[list[int], int]:
+        """State `vi`'s successor indices and its number k of P2 actions: run
+        ai, ``row[ai * k:(ai + 1) * k]``, holds P1 action ai's successors in
+        P2-action order.  The row is shared: read only."""
+        return self._succ[vi], len(self._p2[vi])
 
     def pred_mask(self, m: int) -> int:
         """States with some joint action leading into the state mask `m`."""
         out = 0
         try:
             pred = self._pred
-        except AttributeError:
+        except AttributeError:  # an empty slot: the masks are not built yet
             pred = self._build_index()._pred
         while m:
             low = m & -m

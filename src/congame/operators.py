@@ -9,12 +9,9 @@ Every operator is a ``*_mask`` function on integer bitmasks over the game's
 sorted state/action indices (``g.mask``, ``g.action_mask`` and ``g.unmask``
 convert names); the fixpoint solvers call them in their inner loops.
 
-The operators run on the successor index that :class:`GameGraph`
-builds on first use (``g.succ_rows``): per state and P1 action, the mask
-of its successors and ``(successor bit, P2 action mask)`` pairs.  "Every
-successor of action a lies in Y" is then one test ``succ_mask & ~Y == 0``,
-and the P2 actions that reach X or leave Y are an OR over the pairs, with
-no per-joint-action lookups.
+The operators read :class:`GameGraph`'s successor table (``g.succ_runs``):
+per state, one run of successor indices per P1 action, in P2-action order,
+so the i-th entry of a run is the successor under the i-th P2 action.
 
 ``a_set_mask``, ``b_set_mask`` and ``afpre_fix_mask`` evaluate one state.
 ``pre1_mask``, ``apre1_mask`` and ``afpre1_mask`` evaluate the states of an
@@ -37,30 +34,33 @@ from .model import GameGraph, NonConvergence
 
 def a_set_mask(g: GameGraph, vi: int, y_mask: int, gamma2_mask: int) -> int:
     """P1 actions whose every successor outside Y is excused by gamma2."""
+    row, k = g.succ_runs(vi)
     out = 0
-    outside = ~y_mask
-    for ai, (m, pairs) in enumerate(g.succ_rows(vi)):
-        if m & outside:
-            if not gamma2_mask:
-                continue
-            leaving = 0
-            for bit, b_mask in pairs:
-                if bit & outside:
-                    leaving |= b_mask
-            if leaving & ~gamma2_mask:
-                continue
-        out |= 1 << ai
+    a_bit = 1
+    for run in zip(*[iter(row)] * k):
+        b_bit = 1
+        for wi in run:
+            if not (y_mask >> wi & 1 or gamma2_mask & b_bit):
+                break
+            b_bit <<= 1
+        else:
+            out |= a_bit
+        a_bit <<= 1
     return out
 
 
 def b_set_mask(g: GameGraph, vi: int, x_mask: int, gamma1_mask: int) -> int:
     """P2 actions against which some P1 action from gamma1 reaches X."""
+    row, k = g.succ_runs(vi)
     out = 0
-    for ai, (m, pairs) in enumerate(g.succ_rows(vi)):
-        if gamma1_mask >> ai & 1 and m & x_mask:
-            for bit, b_mask in pairs:
-                if bit & x_mask:
-                    out |= b_mask
+    for run in zip(*[iter(row)] * k):
+        if gamma1_mask & 1:
+            b_bit = 1
+            for wi in run:
+                if x_mask >> wi & 1:
+                    out |= b_bit
+                b_bit <<= 1
+        gamma1_mask >>= 1
     return out
 
 

@@ -41,6 +41,9 @@ SOLVERS = "tests/test_solvers.py"
 PREDECESSORS = "tests/test_operators.py::TestOpponentPredecessors"
 SINK_TAIL = "tests/test_adaptation.py::TestRunAdaptive::test_sink_tail_adds_as_cum_plus_r"
 ZERO_ROW = "tests/test_strategies.py::test_row_without_positive_weight_is_an_input_error"
+ACTION_SETS = "tests/test_operators.py::TestActionSets"
+EVERY_OPERATOR = "tests/test_exhaustive.py::test_operators_match_oracles_on_every_argument"
+EVERY_REGION = "tests/test_exhaustive.py::test_winning_region_against_support_profiles"
 
 
 class Mutant(NamedTuple):
@@ -103,6 +106,21 @@ MUTANTS = (
            "if hit:",
            (PREDECESSORS, PROFILES),
            "apre2's P2 action must also keep every successor inside Y"),
+    Mutant("a-set-no-excuse", "operators.py",
+           "if not (y_mask >> wi & 1 or gamma2_mask & b_bit):",
+           "if not y_mask >> wi & 1:",
+           (ACTION_SETS, EVERY_OPERATOR),
+           "a successor outside Y is allowed where gamma2 holds its P2 action"),
+    Mutant("b-set-every-p1-action", "operators.py",
+           "if gamma1_mask & 1:",
+           "if True:",
+           (ACTION_SETS, EVERY_OPERATOR),
+           "only the P1 actions of gamma1 count towards reaching X"),
+    Mutant("pred-misses-last-move", "model.py",
+           "for wi in set(row):",
+           "for wi in set(row[:-1]):",
+           (SOLVERS, EVERY_REGION),
+           "the last joint action's successor has its state as a predecessor too"),
 )
 
 

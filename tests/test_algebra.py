@@ -29,6 +29,7 @@ from congame import (
     validate_game,
 )
 from congame.algebra import _conjunction_region, counter_product
+from congame.operators import pre1_mask
 
 from .conftest import game_graphs
 from .digests import synthesis_digest
@@ -140,12 +141,6 @@ def reference_counter_product(g, targets):
     return GameGraph(list(p1), p1, p2, delta), frozenset(f"{v}@{k - 1}" for v in targets[-1])
 
 
-def named_rows(g, v):
-    """`g.succ_rows` at `v` with each state bit read back as a name."""
-    return [(g.unmask(m), {g.unmask(w): b for w, b in pairs})
-            for m, pairs in g.succ_rows(g.index(v))]
-
-
 def assert_same_arena(pg, ref):
     # by name: the product keeps its states in copy order, the reference sorts them
     assert sorted(pg.states) == list(ref.states)
@@ -155,7 +150,6 @@ def assert_same_arena(pg, ref):
         for a in ref.p1_actions(v):
             for b in ref.p2_actions(v):
                 assert pg.succ(v, a, b) == ref.succ(v, a, b)
-        assert named_rows(pg, v) == named_rows(ref, v)
         assert pg.unmask(pg.pred_mask(pg.mask([v]))) == ref.unmask(ref.pred_mask(ref.mask([v])))
 
 
@@ -194,13 +188,14 @@ class TestCounterProduct:
         assert pg.unmask(ptarget) == ref_target
         assert_same_arena(pg, ref)
 
-    def test_builds_no_operator_index(self):
+    def test_builds_predecessors_only_on_first_use(self):
         g = random_game(random.Random(4), n_states=3)
         pg, _ = counter_product(g, [frozenset(g.states[:1]), frozenset(g.states[1:])])
-        slots = ("_rows", "_pred")
-        assert not any(hasattr(game, slot) for game in (g, pg) for slot in slots)
-        pg.succ_rows(0)
-        assert all(hasattr(pg, slot) and not hasattr(g, slot) for slot in slots)
+        # the operators read the copied successor table alone
+        assert pre1_mask(pg, pg.full_mask) == pg.full_mask
+        assert not any(hasattr(game, "_pred") for game in (g, pg))
+        pg.pred_mask(1)
+        assert hasattr(pg, "_pred") and not hasattr(g, "_pred")
 
     def test_single_target_mirrors_base(self, buchi_game):
         pg, ptarget = counter_product(buchi_game, [frozenset({"C"})])
