@@ -79,6 +79,12 @@ PINS = (
     Pin("simulate-buchi",
         "simulate games/buchi_cycle.json {tmp}/buchi_strategy.json --episodes 2 --horizon 20",
         "simulate runs with its default opponent"),
+    Pin("simulate-buchi-long-uniform",
+        "simulate games/buchi_cycle.json {tmp}/buchi_strategy.json --episodes 50 --horizon 500",
+        "the all-constant rows A, B and C face two uniform P2 actions each and no sink, so"
+        " every step draws both players; recorded when later visits read a per-state table"
+        " of steps",
+        sha256="7ad47393b13396be1df69517329149544cf64ca86c2fcbc749ad4fa0fd97915d"),
     Pin("adapt-small",
         "adapt games/cobuchi_stabilize.json games/reward_s0.json --start S2 --horizon 20",
         "adapt runs with its default opponent"),
