@@ -112,9 +112,7 @@ class _Plan:
         self.rest = tuple(sorted(rest))
         self.p2 = g.p2_actions(v)
         self.counts = dict.fromkeys(self.p2, 0)
-        offset, row, _ = g.succ_row(v)  # `p2` is sorted, as a run's places are
-        k = len(self.p2)
-        self.rows = tuple((a, [reward.at(g.states[w]) for w in row[offset[a]:offset[a] + k]])
+        self.rows = tuple((a, [reward.at(g.succ(v, a, b)) for b in self.p2])
                           for a in self.allowed)
 
 

@@ -108,11 +108,12 @@ class GameGraph:
     counter product lays out copies of a valid game's table one after
     another (:meth:`_copies`); its states are in copy order, not sorted.
 
-    The operators read the successor table itself, one run of successor
-    indices per P1 action (:meth:`succ_runs`).  Per state, the mask of its
-    predecessors, which the solvers and verification use to find what a
-    changed iterate can affect, is built on first use (:meth:`pred_mask`):
-    extraction and compliance checking never read it.
+    The operators and template synthesis read the successor table itself, one
+    run of successor indices per P1 action (:meth:`succ_runs`); the episode
+    walker and the adaptive plans read it by name (:meth:`succ`).  Per state,
+    the mask of its predecessors, which the solvers and verification use to
+    find what a changed iterate can affect, is built on first use
+    (:meth:`pred_mask`): extraction and compliance checking never read it.
     """
 
     __slots__ = (
@@ -254,14 +255,6 @@ class GameGraph:
         if bi is None:
             raise UnknownAction(state, p2, player=2)
         return self.states[self._succ[vi][offset + bi]]
-
-    def succ_row(self, state: str) -> tuple[Mapping[str, int], list[int], Mapping[str, int]]:
-        """The successor table of `state`, read without checking names again:
-        per P1 action the offset of its run, the row of state indices, and per
-        P2 action its place in a run, so ``states[row[offset[a] + place[b]]]``
-        is ``succ(state, a, b)``.  All three are shared: read only."""
-        vi = self.index(state)
-        return self._p1_offset[vi], self._succ[vi], self._p2_index[vi]
 
     # -- bitmask helpers (states) ----------------------------------------
 

@@ -370,7 +370,7 @@ def _draws(d: ActionDistribution) -> tuple[tuple[str, ...], list[float]]:
 # An opponent's `rule(g, v)`, built once per visited state by `_walk`: a fixed action
 # (no draw), a draw table of `_draws` (one draw) or None (greedy facing several P2
 # actions: ask `pick`).  Greedy's pick is a function of (g, v, d1) and takes no draw,
-# so at a state whose P1 row is fixed the first step's pick is the state's fixed action.
+# so at a state whose P1 row is fixed `_walk` keeps its first pick as the state's rule.
 Rule = Union[str, tuple[tuple[str, ...], list[float]], None]
 
 
@@ -484,52 +484,38 @@ def _walk(
 
     ``move(v, n)`` gives P1's mixed action at the `n`-th visit of `v` and, read at
     the first visit only, whether it is the same at every visit.  Each step draws
-    P1's action from `rng`, then the opponent's, after the errors of `move`.  At
-    its first pick at a state the walk keeps the state's successor lookup and the
-    opponent's rule and, where P1's action is fixed, a table of its steps, from
-    which every later step there is drawn.  A table of one outcome that loops back
-    is a sink: the walk yields it once with the steps left, ``horizon - k``, and
-    ends.  Table steps are the table's own tuples, shared across an episode.
+    P1's action from `rng`, then the opponent's, after the errors of `move`, and
+    finds its successor with ``g.succ``.  The walk keeps each visited state's
+    opponent rule and, where P1's action is fixed, P1's draw table, from which
+    every later step there is drawn.  A fixed state of one P1 action, whose rule
+    plays one action and whose step loops back, is a sink: the walk yields its
+    step once with the steps left, ``horizon - k``, and ends.
     """
-    states = g.states
     visits: dict[str, int] = {}
-    tables: dict[str, tuple] = {}
-    lookups: dict[str, tuple] = {}
+    fixed: dict[str, tuple[tuple[str, ...], list[float]]] = {}
+    rules: dict[str, Rule] = {}
     v = start
     for k in range(horizon):
-        row = tables.get(v)
-        if row is not None:  # the step, or their list over the rule's draw table
-            table, cums, rule_cums = row
-            out = table[bisect_right(cums, rng.random())]
-            if rule_cums is not None:
-                out = out[bisect_right(rule_cums, rng.random())]
-            yield out
-            v = out[0][3]
-            continue
-        n = visits.get(v, 0)
-        visits[v] = n + 1
-        d1, same = move(v, n)
-        a = _sample(rng, d1)
-        offset, succ, places, rule = lookups.get(v) or lookups.setdefault(
-            v, (*g.succ_row(v), opponent.rule(g, v)))  # built at the first pick
+        draws = fixed.get(v)
+        if draws is None:
+            n = visits.get(v, 0)
+            visits[v] = n + 1
+            d1, same = move(v, n)
+            a = _sample(rng, d1)
+        else:
+            a = draws[0][bisect_right(draws[1], rng.random())]
+        if v not in rules:  # built at the first pick
+            rules[v] = opponent.rule(g, v)
+        rule = rules[v]
         b = opponent.pick(g, v, d1) if rule is None else rule if rule.__class__ is str \
             else rule[0][bisect_right(rule[1], rng.random())]
-        w = states[succ[offset[a] + places[b]]]
-        if not n and same:  # P1's `_draws`, each action replaced by its step's pair, or
-            # their list over the rule's draw table; greedy's first pick is the row's action
-            acts, cums = _draws(d1)
-            fixed = b if rule is None else rule
-            if fixed.__class__ is str:
-                at = places[fixed]
-                table = [((v, x, fixed, states[succ[offset[x] + at]]), 1) for x in acts]
-                rule_cums = None
-            else:
-                table = [[((v, x, y, states[succ[offset[x] + places[y]]]), 1) for y in fixed[0]]
-                         for x in acts]
-                rule_cums = fixed[1]
-            tables[v] = table, cums, rule_cums
-            if w == v and len(set(table if rule_cums is None
-                                  else chain.from_iterable(table))) == 1:
+        w = g.succ(v, a, b)
+        if draws is None and not n and same:
+            fixed[v] = _draws(d1)
+            if rule is None:  # greedy's first pick is the fixed row's action
+                rules[v] = rule = b
+            if w == v and len(d1.probs) == 1 \
+                    and (rule.__class__ is str or len(set(rule[0])) == 1):
                 # a sink; `rng` is the episode's own and read by nothing after the walk
                 yield (v, a, b, w), horizon - k
                 return

@@ -163,10 +163,11 @@ def _leaving_actions(g: GameGraph, inside: int) -> dict[str, frozenset[str]]:
 def _rank_groups(g: GameGraph, v: str, prev: int, s: frozenset[str]) -> tuple[frozenset[str], ...]:
     # one group per opponent action: non-unsafe actions that step into the
     # previous rank `prev` (a mask) against it; duplicates collapse
-    offset, row, places = g.succ_row(v)
+    vi = g.index(v)
+    row, k = g.succ_runs(vi)
     return canonical_groups(
-        frozenset(a for a, i in offset.items() if a not in s and prev >> row[i + j] & 1)
-        for j in range(len(places)))
+        frozenset(a for a, wi in zip(g.p1_names(vi), row[j::k]) if a not in s and prev >> wi & 1)
+        for j in range(k))
 
 
 def template_for(g: GameGraph, objective: Objective) -> Template:

@@ -62,10 +62,20 @@ MUTANTS = (
            (ADAPTIVE, SIMULATED),
            "the walk's sink repeats its step for every step left"),
     Mutant("walk-sink-any-step", "strategies.py",
-           "if w == v and len(set(",
-           "if len(set(",
+           "if w == v and len(d1.probs) == 1",
+           "if len(d1.probs) == 1",
            (ADAPTIVE, SIMULATED),
            "only a one-outcome step that loops back is a sink"),
+    Mutant("walk-sink-two-p1-actions", "strategies.py",
+           "len(d1.probs) == 1",
+           "True",
+           (ADAPTIVE, SIMULATED),
+           "a fixed row of several P1 actions can leave the state: no sink"),
+    Mutant("walk-sink-opponent-draws", "strategies.py",
+           "(rule.__class__ is str or len(set(rule[0])) == 1)",
+           "True",
+           (ADAPTIVE, SIMULATED),
+           "an opponent drawing among several actions can leave the state: no sink"),
     Mutant("adapt-counts-once", "adaptation.py",
            "plan.counts[b] += times",
            "plan.counts[b] += 1",

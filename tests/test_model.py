@@ -196,14 +196,17 @@ class TestMasks:
             assert g.mask(g.unmask(m)) == m
 
     @given(game_graphs())
-    def test_succ_row_reads_succ(self, g: GameGraph):
-        for v in g.states:
-            offset, row, places = g.succ_row(v)
-            assert tuple(places) == g.p2_actions(v)
-            assert tuple(offset) == g.p1_actions(v)
-            for a in g.p1_actions(v):
-                for b in g.p2_actions(v):
-                    assert g.states[row[offset[a] + places[b]]] == g.succ(v, a, b)
+    def test_succ_runs_read_succ(self, g: GameGraph):
+        # run ai holds P1 action ai's successors and column j P2 action j's
+        for vi, v in enumerate(g.states):
+            row, k = g.succ_runs(vi)
+            assert k == len(g.p2_actions(v))
+            assert len(row) == len(g.p1_actions(v)) * k
+            for ai, a in enumerate(g.p1_actions(v)):
+                for j, b in enumerate(g.p2_actions(v)):
+                    w = g.succ(v, a, b)
+                    assert g.states[row[ai * k:(ai + 1) * k][j]] == w
+                    assert g.states[row[j::k][ai]] == w
 
 
 class TestObjective:

@@ -795,10 +795,11 @@ class TestSimulation:
     @given(simulation_setups())
     @settings(max_examples=150)
     def test_equals_per_visit_reference(self, setup):
-        # simulate keeps all-constant rows and their step outcomes, and stops
-        # drawing at a sink; the reference asks the strategy and the opponent
-        # at every visit.  Each horizon whose last step is the first one at a
-        # state and loops back to it is played as well
+        # simulate keeps P1's draw table at all-constant rows, and greedy's
+        # first pick there, and stops drawing at a sink; the reference asks
+        # the strategy and the opponent at every visit.  Each horizon whose
+        # last step is the first one at a state and loops back to it is
+        # played as well
         g, s, opp, horizon, seed, start, target = setup
         horizons = {0, horizon}
         with contextlib.suppress(InputError):
