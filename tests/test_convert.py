@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congame import (
     InputError,
@@ -39,7 +41,74 @@ def handshake_raw() -> dict:
     }
 
 
+@st.composite
+def turn_based_games(draw) -> dict:
+    """Alternating turn-based games of 1-4 P1 states (labels a-c) and 1-4 P2
+    states (labels x-y); P2 dead ends and successors offering different label
+    sets both occur.  The states are listed in a drawn order."""
+    p1 = [f"u{i}" for i in range(draw(st.integers(1, 4)))]
+    p2 = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    transitions = []
+    for own, labels, succs in ((p1, "abc", p2), (p2, "xy", p1)):
+        for s in own:
+            for label in draw(st.sets(st.sampled_from(labels))):
+                transitions.append(
+                    {"from": s, "label": label, "to": draw(st.sampled_from(succs))})
+    states = [{"id": s, "owner": 1} for s in p1] + [{"id": s, "owner": 2} for s in p2]
+    return {
+        "states": draw(st.permutations(states)),
+        "transitions": transitions,
+        "winning": {"kind": "states", "items": []},
+        "objective_kind": "safety",
+    }
+
+
+def reference_conversion(moves: dict, p1: list[str]) -> list[tuple]:
+    """Per P1 state in sorted order, built name by name: the usable actions,
+    the P2 labels of the first usable successor (None where another one
+    offers different labels) and the joint moves (u, a, b) -> w."""
+    out = []
+    for u in sorted(p1):
+        usable = [a for a in sorted(moves[u]) if moves[moves[u][a]]]
+        labels = sorted(moves[moves[u][usable[0]]]) if usable else []
+        rectangular = all(sorted(moves[moves[u][a]]) == labels for a in usable)
+        joint = {(u, a, b): moves[moves[u][a]][b] for a in usable for b in moves[moves[u][a]]}
+        out.append((u, usable, labels if rectangular else None, joint))
+    return out
+
+
 class TestConvert:
+    @given(turn_based_games())
+    @settings(max_examples=300)
+    def test_matches_reference_built_name_by_name(self, raw):
+        moves: dict[str, dict[str, str]] = {e["id"]: {} for e in raw["states"]}
+        for t in raw["transitions"]:
+            moves[t["from"]][t["label"]] = t["to"]
+        p1 = [e["id"] for e in raw["states"] if e["owner"] == 1]
+        ref = reference_conversion(moves, p1)
+        bad = [u for u, _, labels, _ in ref if labels is None]
+        if bad:
+            with pytest.raises(NonRectangularActions) as e:
+                convert(tb_from_dict(raw))
+            assert e.value.state == bad[0]
+            return
+        g, _, stats = convert(tb_from_dict(raw))
+        assert g.states == tuple(sorted(p1))
+        merged = dropped = loops = 0
+        for u, usable, labels, joint in ref:
+            dropped += len(moves[u]) - len(usable)
+            if not usable:
+                assert g.p1_actions(u) == g.p2_actions(u) == ("loop",)
+                assert g.succ(u, "loop", "loop") == u
+                loops += 1
+                continue
+            assert g.p1_actions(u) == tuple(usable)
+            assert g.p2_actions(u) == tuple(labels)
+            for (_, a, b), w in joint.items():
+                assert g.succ(u, a, b) == w
+            merged += len(joint)
+        assert stats == (len(p1), len(moves) - len(p1), merged, dropped, loops)
+
     def test_handshake_matches_golden(self):
         tb = load_turn_based(str(GAMES / "tb_handshake.json"))
         g, obj, stats = convert(tb)
