@@ -74,15 +74,15 @@ def _load_template_file(path: str, g: GameGraph) -> Template:
 
 def _opponent(args: argparse.Namespace, g: GameGraph, obj: Optional[Objective]):
     kind = args.opponent
+    if kind != "fixed" and args.opponent_file is not None:
+        raise InputError("--opponent-file needs --opponent fixed")
     if kind == "uniform":
         return UniformRandom()
-    if kind == "fixed":
-        if args.opponent_file:
-            return FixedSchedule.from_dict(read_json(args.opponent_file), g)
-        return FixedSchedule()
     if kind == "greedy":
         return GreedyAdversary(solve(g, _require_objective(obj, args.game)).ranks)
-    raise InputError(f"unknown opponent {kind!r}")
+    if args.opponent_file is not None:
+        return FixedSchedule.from_dict(read_json(args.opponent_file), g)
+    return FixedSchedule()
 
 
 def cmd_solve(args) -> None:

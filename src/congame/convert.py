@@ -162,38 +162,27 @@ def convert(tb: TurnBasedGame) -> tuple[GameGraph, Objective, ConversionStats]:
     p2_actions: dict[str, list[str]] = {}
     delta: dict[tuple[str, str, str], str] = {}
     target: set[str] = set()
-    merged = dropped = loops = 0
+    dropped = loops = 0
 
     for u in p1_states:
-        labels2: frozenset[str] | None = None
-        usable: list[str] = []
-        for a in sorted(tb.moves[u]):
-            v = tb.moves[u][a]
-            row = tb.moves[v]
-            if not row:
-                dropped += 1
-                continue
-            here = frozenset(row)
-            if labels2 is None:
-                labels2 = here
-            elif here != labels2:
-                raise NonRectangularActions(u)
-            usable.append(a)
+        row = tb.moves[u]
+        usable = [a for a in sorted(row) if tb.moves[row[a]]]
+        dropped += len(row) - len(usable)
+        offered = {frozenset(tb.moves[row[a]]) for a in usable}
+        if len(offered) > 1:
+            raise NonRectangularActions(u)
         if not usable:
-            p1_actions[u] = [LOOP_ACTION]
-            p2_actions[u] = [LOOP_ACTION]
+            p1_actions[u] = p2_actions[u] = [LOOP_ACTION]
             delta[(u, LOOP_ACTION, LOOP_ACTION)] = u
             loops += 1
             continue
-        assert labels2 is not None
         p1_actions[u] = usable
-        p2_actions[u] = sorted(labels2)
+        p2_actions[u] = sorted(offered.pop())
         for a in usable:
-            v = tb.moves[u][a]
+            v = row[a]
             for b in sorted(tb.moves[v]):
                 w = tb.moves[v][b]
                 delta[(u, a, b)] = w
-                merged += 1
                 if tb.winning_kind == "transitions":
                     if (u, a, v) in tb.winning_items or (v, b, w) in tb.winning_items:
                         target.add(w)
@@ -208,7 +197,7 @@ def convert(tb: TurnBasedGame) -> tuple[GameGraph, Objective, ConversionStats]:
     stats = ConversionStats(
         p1_states=len(p1_states),
         p2_states=len(tb.owners) - len(p1_states),
-        merged_transitions=merged,
+        merged_transitions=len(delta) - loops,
         dropped_actions=dropped,
         self_loops_added=loops,
     )

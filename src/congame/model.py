@@ -299,12 +299,6 @@ class GameGraph:
             m ^= low
         return out
 
-    def p1_names(self, vi: int) -> tuple[str, ...]:
-        return self._p1[vi]
-
-    def p2_names(self, vi: int) -> tuple[str, ...]:
-        return self._p2[vi]
-
 
 class ActionDistribution(NamedTuple):
     """A probability distribution over finitely many actions.

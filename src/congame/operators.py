@@ -86,7 +86,7 @@ def apre1_mask(g: GameGraph, y_mask: int, x_mask: int, cand: Optional[int] = Non
         low = todo & -todo
         vi = low.bit_length() - 1
         stay = a_set_mask(g, vi, y_mask, 0)
-        if stay and b_set_mask(g, vi, x_mask, stay) == (1 << len(g.p2_names(vi))) - 1:
+        if stay and b_set_mask(g, vi, x_mask, stay) == (1 << g.succ_runs(vi)[1]) - 1:
             out |= low
         todo ^= low
     return out
@@ -100,7 +100,7 @@ def pre2_mask(g: GameGraph, gamma1: Sequence[int], y_mask: int, cand: Optional[i
     while todo:
         low = todo & -todo
         vi = low.bit_length() - 1
-        if b_set_mask(g, vi, ~y_mask, gamma1[vi]) != (1 << len(g.p2_names(vi))) - 1:
+        if b_set_mask(g, vi, ~y_mask, gamma1[vi]) != (1 << g.succ_runs(vi)[1]) - 1:
             out |= low
         todo ^= low
     return out
@@ -129,9 +129,10 @@ def afpre_fix_mask(g: GameGraph, vi: int, z_mask: int, y_mask: int, x_mask: int)
     Starts at A_Z(0); each round is monotone decreasing, so it stabilizes in
     at most |P1 actions| rounds.
     """
+    row, k = g.succ_runs(vi)
     stay_z = a_set_mask(g, vi, z_mask, 0)
     gamma = stay_z
-    for _ in range(len(g.p1_names(vi)) + 2):
+    for _ in range(len(row) // k + 2):
         if not gamma:
             return 0
         nxt = stay_z & a_set_mask(g, vi, y_mask, b_set_mask(g, vi, x_mask, gamma))

@@ -460,15 +460,7 @@ class EpisodeLog(NamedTuple):
     longest_target_suffix: int
 
     def to_dict(self) -> dict:
-        return {
-            "episode": self.episode,
-            "seed": self.seed,
-            "start": self.start,
-            "steps": [list(step) for step in self.steps],
-            "visits": dict(sorted(self.visits.items())),
-            "target_visits": self.target_visits,
-            "longest_target_suffix": self.longest_target_suffix,
-        }
+        return self._asdict()
 
 
 def _walk(

@@ -154,7 +154,7 @@ def _leaving_actions(g: GameGraph, inside: int) -> dict[str, frozenset[str]]:
     for vi, v in enumerate(g.states):
         if inside >> vi & 1:
             stay = a_set_mask(g, vi, inside, 0)
-            s = frozenset(a for i, a in enumerate(g.p1_names(vi)) if not stay >> i & 1)
+            s = frozenset(a for i, a in enumerate(g.p1_actions(v)) if not stay >> i & 1)
             if s:
                 out[v] = s
     return out
@@ -166,7 +166,7 @@ def _rank_groups(g: GameGraph, v: str, prev: int, s: frozenset[str]) -> tuple[fr
     vi = g.index(v)
     row, k = g.succ_runs(vi)
     return canonical_groups(
-        frozenset(a for a, wi in zip(g.p1_names(vi), row[j::k]) if a not in s and prev >> wi & 1)
+        frozenset(a for a, wi in zip(g.p1_actions(v), row[j::k]) if a not in s and prev >> wi & 1)
         for j in range(k))
 
 

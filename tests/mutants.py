@@ -44,6 +44,8 @@ ZERO_ROW = "tests/test_strategies.py::test_row_without_positive_weight_is_an_inp
 ACTION_SETS = "tests/test_operators.py::TestActionSets"
 EVERY_OPERATOR = "tests/test_exhaustive.py::test_operators_match_oracles_on_every_argument"
 EVERY_REGION = "tests/test_exhaustive.py::test_winning_region_against_support_profiles"
+CONVERT = "tests/test_convert.py::TestConvert::"
+CONVERT_REFERENCE = CONVERT + "test_matches_reference_built_name_by_name"
 
 
 class Mutant(NamedTuple):
@@ -131,6 +133,16 @@ MUTANTS = (
            "for wi in set(row[:-1]):",
            (SOLVERS, EVERY_REGION),
            "the last joint action's successor has its state as a predecessor too"),
+    Mutant("convert-rectangular-unchecked", "convert.py",
+           "if len(offered) > 1:",
+           "if False:",
+           (CONVERT + "test_non_rectangular", CONVERT_REFERENCE),
+           "usable successors offering different P2 label sets are not rectangular"),
+    Mutant("convert-merged-counts-loops", "convert.py",
+           "merged_transitions=len(delta) - loops,",
+           "merged_transitions=len(delta),",
+           (CONVERT + "test_handshake_structure", CONVERT_REFERENCE),
+           "an added loop/loop pair is not a merged transition"),
 )
 
 

@@ -437,6 +437,20 @@ class TestBadInputsCli:
         (["compare", COBUCHI, REWARD, OPP, "--pairs", "0"], None, "--pairs must be at least 1"),
         (["compare", "{f}", REWARD, OPP, *COMPARE_ARGS], NO_OBJECTIVE,
          "{f}: game file has no objective"),
+        # the file is only read for a fixed opponent, so with any other kind
+        # it is refused before it is opened, existing or not
+        (["simulate", BUCHI, STRAT_B, "--opponent-file", OPP], None,
+         "--opponent-file needs --opponent fixed"),
+        (["simulate", BUCHI, STRAT_B, "--opponent", "greedy", "--opponent-file", "{f}"], None,
+         "--opponent-file needs --opponent fixed"),
+        (["adapt", COBUCHI, REWARD, "--opponent", "greedy", "--opponent-file", OPP], None,
+         "--opponent-file needs --opponent fixed"),
+        (["adapt", COBUCHI, REWARD, "--opponent", "uniform", "--opponent-file", "{f}"], None,
+         "--opponent-file needs --opponent fixed"),
+        (["simulate", BUCHI, STRAT_B, *OPP_ARGS, ""], None,
+         "[Errno 2] No such file or directory: ''"),
+        (["adapt", COBUCHI, REWARD, *OPP_ARGS, ""], None,
+         "[Errno 2] No such file or directory: ''"),
     ], ids=["opponent-list", "opponent-string-row", "opponent-nan", "opponent-numeric-string",
             "opponent-unknown-state", "strategy-list-row", "strategy-missing-state",
             "strategy-constant-without-p",
@@ -448,7 +462,10 @@ class TestBadInputsCli:
             "compare-reward-bad-json", "compare-reward-missing", "compare-opponent-bad-json",
             "compare-opponent-other-game", "compare-opponent-unknown-action",
             "compare-opponent-unreached-unknown-action",
-            "compare-no-pairs", "compare-no-objective"])
+            "compare-no-pairs", "compare-no-objective",
+            "simulate-opponent-file-default-uniform", "simulate-opponent-file-greedy-missing",
+            "adapt-opponent-file-greedy", "adapt-opponent-file-uniform-missing",
+            "simulate-opponent-file-empty-path", "adapt-opponent-file-empty-path"])
     def test_exit_2_with_message(self, capsys, tmp_path, argv, text, message):
         path = tmp_path / "input.json"
         if text is not None:
